@@ -73,32 +73,6 @@ inline baselines::MetadataBackend& loaded_backend(baselines::BackendKind kind,
   return *it->second;
 }
 
-/// Registers every (group, model, parameter) combination the generator can
-/// emit, so catalogs can ingest without auto-definition (parallel ingest).
-inline void register_all_dynamic(core::MetadataCatalog& catalog) {
-  static constexpr const char* kSubGroups[] = {"grid-stretching", "damping", "advection",
-                                               "boundary", "filtering"};
-  for (const char* model : workload::model_names()) {
-    for (const char* group : workload::grid_group_names()) {
-      std::vector<core::DynamicElementSpec> elements;
-      for (const char* param : workload::parameter_names()) {
-        elements.push_back(
-            core::DynamicElementSpec{param, xml::LeafType::kDouble, model});
-      }
-      const core::AttrDefId top =
-          catalog.define_dynamic_attribute(group, model, elements);
-      for (const char* sub_group : kSubGroups) {
-        const core::AttrDefId sub =
-            catalog.define_dynamic_sub_attribute(top, sub_group, model, elements);
-        // Nested sub-groups (depth 2).
-        for (const char* sub_sub : kSubGroups) {
-          catalog.define_dynamic_sub_attribute(sub, sub_sub, model, elements);
-        }
-      }
-    }
-  }
-}
-
 inline core::CatalogConfig auto_define_config() {
   core::CatalogConfig config;
   config.shred.auto_define_dynamic = true;

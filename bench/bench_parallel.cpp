@@ -1,8 +1,5 @@
 // E9/E11 — concurrent catalog operation (hpc-parallel substrate).
 //
-// ParallelIngest: documents are shredded into per-thread staging databases
-// and merged once (no locks on the hot path); expectation: near-linear
-// speedup until the single-threaded merge dominates.
 // ConcurrentQuery: read-only query throughput with T worker threads over a
 // shared catalog; expectation: near-linear (tables are immutable during
 // reads).
@@ -35,27 +32,6 @@
 namespace {
 
 using namespace hxrc;
-
-void parallel_ingest_bench(benchmark::State& state) {
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  workload::GeneratorConfig config;
-  const auto& docs = benchx::corpus(400, config);
-  static xml::Schema schema = workload::lead_schema();
-
-  std::size_t total = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    core::MetadataCatalog catalog(schema, workload::lead_annotations());
-    benchx::register_all_dynamic(catalog);
-    util::ThreadPool pool(threads);
-    state.ResumeTiming();
-
-    catalog.ingest_parallel(pool, docs, "bench");
-    total += docs.size();
-  }
-  state.counters["docs/s"] =
-      benchmark::Counter(static_cast<double>(total), benchmark::Counter::kIsRate);
-}
 
 void concurrent_query_bench(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
@@ -182,11 +158,6 @@ void read_only_scaling_bench(benchmark::State& state) {
 
 int main(int argc, char** argv) {
   for (const long threads : {1L, 2L, 4L, 8L}) {
-    benchmark::RegisterBenchmark("E9/ParallelIngest/threads", parallel_ingest_bench)
-        ->Arg(threads)
-        ->Unit(benchmark::kMillisecond)
-        ->MeasureProcessCPUTime()
-        ->UseRealTime();
     benchmark::RegisterBenchmark("E9/ConcurrentQuery/threads", concurrent_query_bench)
         ->Arg(threads)
         ->Unit(benchmark::kMillisecond)

@@ -1,7 +1,6 @@
 #include "core/catalog.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <istream>
@@ -23,7 +22,6 @@ MetadataCatalog::MetadataCatalog(const xml::Schema& schema,
       partition_(Partition::build(schema, std::move(annotations))) {
   registry_.install_structural(partition_);
   install_storage(db_);
-  install_storage_indexes(db_);
   install_ordering(db_, partition_);
   // Containment tables for collections (aggregations).
   rel::Table& collections = db_.create_table(
@@ -158,145 +156,6 @@ void MetadataCatalog::add_attribute_xml(ObjectId object, std::string_view attrib
                                         const std::string& owner) {
   const xml::NodePtr content = xml::parse_fragment(content_xml);
   add_attribute(object, attribute_path, *content, owner);
-}
-
-std::vector<ObjectId> MetadataCatalog::ingest_parallel(
-    util::ThreadPool& pool, const std::vector<xml::Document>& docs,
-    const std::string& owner) {
-  // Exclusive for the whole batch: the staging shredders read the shared
-  // registry/partition, and the merge mutates every storage table.
-  const auto start = std::chrono::steady_clock::now();
-  std::unique_lock lock(mutex_);
-  // Reserve the id range up front so ids are stable regardless of thread
-  // interleaving.
-  const ObjectId first =
-      next_object_.fetch_add(static_cast<ObjectId>(docs.size()), std::memory_order_acq_rel);
-
-  // Per-thread staging databases: tables without indexes, shredded
-  // independently, merged under a single lock at the end.
-  const std::size_t shards = std::max<std::size_t>(1, pool.size());
-  struct Shard {
-    std::unique_ptr<rel::Database> db;
-    std::unique_ptr<Shredder> shredder;
-    ShredStats stats;
-  };
-  std::vector<Shard> staged(shards);
-  // Staging rows outlive their staging database once merged, so staging
-  // shredders must own their strings instead of interning them into the
-  // soon-to-die staging interner (see rel/interner.hpp).
-  ShredOptions staging_options = config_.shred;
-  staging_options.intern_strings = false;
-  for (Shard& shard : staged) {
-    shard.db = std::make_unique<rel::Database>();
-    install_storage(*shard.db);  // no indexes during staging
-    shard.shredder =
-        std::make_unique<Shredder>(partition_, registry_, *shard.db, staging_options);
-  }
-
-  // Note: auto-definition mutates the shared registry; ingest_parallel
-  // therefore requires all dynamic definitions to be registered up front.
-  if (config_.shred.auto_define_dynamic) {
-    throw ValidationError(
-        "ingest_parallel requires pre-registered dynamic definitions "
-        "(auto_define_dynamic is not thread-safe)");
-  }
-
-  std::atomic<std::size_t> next{0};
-  std::vector<std::future<void>> futures;
-  futures.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    futures.push_back(pool.submit([&, s] {
-      Shard& shard = staged[s];
-      for (;;) {
-        const std::size_t i = next.fetch_add(1);
-        if (i >= docs.size()) break;
-        shard.stats += shard.shredder->shred(
-            docs[i], first + static_cast<ObjectId>(i),
-            "doc-" + std::to_string(first + static_cast<ObjectId>(i)), owner);
-      }
-    }));
-  }
-  for (auto& f : futures) f.get();
-
-  // Merge staged rows and CLOBs. Each target table is independent, so the
-  // per-table merges run concurrently; CLOB ids are remapped by offsetting
-  // with per-shard offsets computed up front.
-  std::vector<rel::ClobId> clob_offsets(shards);
-  {
-    auto offset = static_cast<rel::ClobId>(db_.clobs().count());
-    for (std::size_t s = 0; s < shards; ++s) {
-      clob_offsets[s] = offset;
-      offset += static_cast<rel::ClobId>(staged[s].db->clobs().count());
-    }
-  }
-  std::vector<std::future<void>> merge_tasks;
-  merge_tasks.push_back(pool.submit([&] {
-    for (Shard& shard : staged) {
-      db_.clobs().absorb(shard.db->clobs());
-    }
-  }));
-  for (const char* table_name :
-       {kObjectsTable, kAttrInstancesTable, kAttrInvertedTable, kElemDataTable}) {
-    merge_tasks.push_back(pool.submit([this, table_name, &staged] {
-      rel::Table& target = db_.require_table(table_name);
-      for (Shard& shard : staged) {
-        target.merge_move_from(shard.db->require_table(table_name));
-      }
-    }));
-  }
-  merge_tasks.push_back(pool.submit([this, &staged, &clob_offsets] {
-    // attr_clobs needs the clob_id column remapped.
-    rel::Table& target = db_.require_table(kAttrClobsTable);
-    const std::size_t clob_id_col = target.schema().require("clob_id");
-    for (std::size_t s = 0; s < staged.size(); ++s) {
-      const rel::Table& source = staged[s].db->require_table(kAttrClobsTable);
-      for (rel::Row row : source.rows()) {
-        row[clob_id_col] = rel::Value(row[clob_id_col].as_int() + clob_offsets[s]);
-        target.append_unchecked(std::move(row));
-      }
-    }
-  }));
-  for (auto& task : merge_tasks) task.get();
-  ShredStats batch_stats;
-  for (Shard& shard : staged) {
-    stats_ += shard.stats;
-    batch_stats += shard.stats;
-    shredder_->absorb_counters(*shard.shredder);
-  }
-  bump_version();
-  std::uint64_t arena_bytes = 0;
-  for (const xml::Document& doc : docs) arena_bytes += doc.arena_bytes();
-  ingest_metrics_.record(docs.size(), batch_stats.element_rows,
-                         batch_stats.attribute_instances, batch_stats.clob_bytes,
-                         arena_bytes, elapsed_micros(start));
-  try {
-    if (observer_) {
-      // One event per document, in id order, sharing the batch's epoch —
-      // replaying them sequentially reproduces the same id assignment.
-      for (std::size_t i = 0; i < docs.size(); ++i) {
-        const ObjectId id = first + static_cast<ObjectId>(i);
-        MutationEvent event{MutationEvent::Kind::kIngest};
-        event.epoch = version();
-        event.object = id;
-        const std::string doc_name = "doc-" + std::to_string(id);
-        event.name = doc_name;
-        event.owner = owner;
-        event.content = docs[i].root.get();
-        notify(event);
-      }
-    }
-  } catch (...) {
-    publish_locked();
-    throw;
-  }
-  publish_locked();
-
-  std::vector<ObjectId> ids;
-  ids.reserve(docs.size());
-  for (std::size_t i = 0; i < docs.size(); ++i) {
-    ids.push_back(first + static_cast<ObjectId>(i));
-  }
-  return ids;
 }
 
 AttrDefId MetadataCatalog::define_dynamic_attribute(
@@ -645,25 +504,12 @@ std::string read_token(std::istream& in) {
 
 void MetadataCatalog::save(std::ostream& out) const {
   std::shared_lock lock(mutex_);
-  save_impl(out, /*binary=*/false);
+  save_unlocked(out);
 }
 
-void MetadataCatalog::save_binary(std::ostream& out) const {
-  std::shared_lock lock(mutex_);
-  save_impl(out, /*binary=*/true);
-}
-
-void MetadataCatalog::save_binary_unlocked(std::ostream& out) const {
-  save_impl(out, /*binary=*/true);
-}
-
-void MetadataCatalog::save_impl(std::ostream& out, bool binary) const {
-  out << (binary ? "HXRCCAT 2\n" : "HXRCCAT 1\n");
-  if (binary) {
-    // Format 2 carries the version epoch so recovery restores it; format 1
-    // predates epochs and restores by bumping.
-    out << "epoch " << version_.load(std::memory_order_acquire) << '\n';
-  }
+void MetadataCatalog::save_unlocked(std::ostream& out) const {
+  out << "HXRCCAT 2\n";
+  out << "epoch " << version_.load(std::memory_order_acquire) << '\n';
   out << "next_object " << next_object_.load(std::memory_order_acquire) << '\n';
 
   // Structural definitions are reproduced by the constructor; count them so
@@ -671,13 +517,6 @@ void MetadataCatalog::save_impl(std::ostream& out, bool binary) const {
   std::size_t structural_attrs = 0;
   for (const AttributeDef& def : registry_.attributes()) {
     if (def.kind == AttrKind::kStructural) ++structural_attrs;
-  }
-  std::size_t structural_elems = 0;
-  for (const ElementDef& def : registry_.elements()) {
-    if (registry_.attribute(def.attribute).kind == AttrKind::kStructural &&
-        def.source.empty()) {
-      ++structural_elems;
-    }
   }
   // Structural defs form the id prefix (they are all created in the ctor).
   out << "attrs " << structural_attrs << ' ' << registry_.attribute_count() << '\n';
@@ -700,7 +539,6 @@ void MetadataCatalog::save_impl(std::ostream& out, bool binary) const {
       break;
     }
   }
-  (void)structural_elems;
   out << "elems " << structural_elem_prefix << ' ' << registry_.element_count() << '\n';
   for (std::size_t i = structural_elem_prefix; i < registry_.element_count(); ++i) {
     const ElementDef& def = registry_.element(static_cast<ElemDefId>(i));
@@ -723,26 +561,20 @@ void MetadataCatalog::save_impl(std::ostream& out, bool binary) const {
   for (const ObjectId id : deleted_) out << id << '\n';
 
   shredder_->save_counters(out);
-  if (binary) {
-    rel::save_database_binary(db_, out);
-  } else {
-    rel::save_database(db_, out);
-  }
+  rel::save_database(db_, out);
 }
 
 void MetadataCatalog::restore(std::istream& in) {
   std::unique_lock lock(mutex_);
   std::string magic;
   int version = 0;
-  if (!(in >> magic >> version) || magic != "HXRCCAT" || (version != 1 && version != 2)) {
-    throw ValidationError("not an HXRCCAT version-1/2 stream");
+  if (!(in >> magic >> version) || magic != "HXRCCAT" || version != 2) {
+    throw ValidationError("not an HXRCCAT version-2 stream");
   }
   std::string tag;
   std::uint64_t restored_epoch = 0;
-  if (version == 2) {
-    if (!(in >> tag >> restored_epoch) || tag != "epoch") {
-      throw ValidationError("bad epoch line in catalog stream");
-    }
+  if (!(in >> tag >> restored_epoch) || tag != "epoch") {
+    throw ValidationError("bad epoch line in catalog stream");
   }
   ObjectId restored_next = 0;
   if (!(in >> tag >> restored_next) || tag != "next_object") {
@@ -831,13 +663,8 @@ void MetadataCatalog::restore(std::istream& in) {
   }
 
   shredder_->load_counters(in);
-  if (version == 2) {
-    rel::load_database_into_binary(db_, in);
-    version_.store(restored_epoch, std::memory_order_release);
-  } else {
-    rel::load_database_into(db_, in);
-    bump_version();
-  }
+  rel::load_database_into(db_, in);
+  version_.store(restored_epoch, std::memory_order_release);
   // The registry and tombstone set were rebuilt wholesale; drop the COW
   // caches so the restored snapshot cannot alias pre-restore contents, then
   // publish the restored state at its epoch.

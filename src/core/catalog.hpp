@@ -54,7 +54,6 @@
 #include "rel/read_view.hpp"
 #include "util/epoch.hpp"
 #include "util/metrics.hpp"
-#include "util/thread_pool.hpp"
 #include "xml/dom.hpp"
 #include "xml/schema.hpp"
 
@@ -112,7 +111,7 @@ struct MutationEvent {
     kAddToCollection,
   };
   Kind kind;
-  /// Catalog version after the mutation (a parallel-ingest batch shares one).
+  /// Catalog version after the mutation.
   std::uint64_t epoch = 0;
   ObjectId object = -1;          ///< ingest / addAttribute / delete / addToCollection
   AttrDefId attr = kNoAttr;      ///< define: the assigned definition id
@@ -188,13 +187,6 @@ class MetadataCatalog {
                      const xml::Node& content, const std::string& owner = {});
   void add_attribute_xml(ObjectId object, std::string_view attribute_path,
                          std::string_view content_xml, const std::string& owner = {});
-
-  /// Shreds documents in parallel into per-thread staging databases, then
-  /// merges. Returns the assigned ids (in input order). Index maintenance
-  /// happens once, after the merge.
-  std::vector<ObjectId> ingest_parallel(util::ThreadPool& pool,
-                                        const std::vector<xml::Document>& docs,
-                                        const std::string& owner);
 
   // ---- definitions ----
 
@@ -283,31 +275,29 @@ class MetadataCatalog {
 
   // ---- persistence ----
 
-  /// Serializes the whole catalog state: object counter, dynamic
-  /// definitions, thesaurus, same-sibling counters, and the database
-  /// (shredded tables, ordering tables, collections, CLOBs).
+  /// Serializes the whole catalog state as an `HXRCCAT 2` stream — the
+  /// snapshot format of the durability subsystem: version epoch, object
+  /// counter, dynamic definitions, thesaurus, same-sibling counters, and
+  /// the database (shredded tables, ordering tables, collections, CLOBs) in
+  /// the stable binary form of rel::save_database. Interned columns
+  /// serialize by content, so a stream is independent of interner pointer
+  /// identity.
   void save(std::ostream& out) const;
 
-  /// Like save(), but writes the format-2 stream: it carries the version
-  /// epoch and serializes the tables/CLOBs in the stable binary form
-  /// (rel::save_database_binary) — the snapshot format of the durability
-  /// subsystem. Interned columns serialize by content, so a stream is
-  /// independent of interner pointer identity.
-  void save_binary(std::ostream& out) const;
+  /// save without taking the write-pause lock — for the durability layer's
+  /// checkpoint, which already holds read_lock() so that no mutation can
+  /// slip between the snapshot and the WAL rotation.
+  void save_unlocked(std::ostream& out) const;
 
-  /// save_binary without taking the write-pause lock — for the durability
-  /// layer's checkpoint, which already holds read_lock() so that no
-  /// mutation can slip between the snapshot and the WAL rotation.
-  void save_binary_unlocked(std::ostream& out) const;
-
-  /// Restores state saved by save() or save_binary() (both format versions
-  /// are detected). The catalog must have been constructed with the same
-  /// schema and annotations (the structural definitions and ordering tables
-  /// are rebuilt by the constructor and verified here). Existing ingested
-  /// data is discarded. Format 2 restores the version epoch it recorded;
-  /// format 1 bumps the current epoch. Requires quiescence (no concurrent
-  /// readers): row storage and index generations are freed in place, and
-  /// the rebuilt catalog republishes a clean snapshot at the restored epoch.
+  /// Restores state written by save(); any other header (including the
+  /// retired text format `HXRCCAT 1`) throws ValidationError. The catalog
+  /// must have been constructed with the same schema and annotations (the
+  /// structural definitions and ordering tables are rebuilt by the
+  /// constructor and verified here). Existing ingested data is discarded
+  /// and the recorded version epoch is restored. Requires quiescence (no
+  /// concurrent readers): row storage and index generations are freed in
+  /// place, and the rebuilt catalog republishes a clean snapshot at the
+  /// restored epoch.
   void restore(std::istream& in);
 
   /// Overwrites the version epoch and republishes the snapshot at it.
@@ -443,8 +433,7 @@ class MetadataCatalog {
 
   const Partition& partition() const noexcept { return partition_; }
   const DefinitionRegistry& registry() const noexcept { return registry_; }
-  /// Mutable registry access for bulk definition import (e.g. replicating
-  /// definitions between catalogs before parallel ingest). Single-threaded
+  /// Mutable registry access for bulk definition import. Single-threaded
   /// setup only; the next commit publishes the imported definitions.
   DefinitionRegistry& registry() noexcept { return registry_; }
 
@@ -496,7 +485,6 @@ class MetadataCatalog {
   /// query_paged against one snapshot (see query_paged).
   QueryPage query_paged_at(const CatalogSnapshot& snap, const ObjectQuery& q,
                            QueryPlanInfo* info) const;
-  void save_impl(std::ostream& out, bool binary) const;
   void bump_version() noexcept {
     version_.fetch_add(1, std::memory_order_acq_rel);
   }

@@ -147,21 +147,6 @@ const std::vector<std::string>& service_request_type_names() {
 
 namespace {
 
-/// Attribute scan restricted to the root tag of a serialized request: finds
-/// `name="value"` before the first '>'. Lightweight by design — the
-/// dispatcher calls this on the admission path, before any DOM exists.
-std::string_view peek_root_attribute(std::string_view xml, std::string_view name) {
-  const std::size_t tag_end = xml.find('>');
-  const std::string_view tag = xml.substr(0, tag_end);
-  const std::string needle = std::string(name) + "=\"";
-  const std::size_t at = tag.find(needle);
-  if (at == std::string_view::npos) return {};
-  const std::size_t begin = at + needle.size();
-  const std::size_t end = tag.find('"', begin);
-  if (end == std::string_view::npos) return {};
-  return tag.substr(begin, end - begin);
-}
-
 std::string ok_response(std::uint64_t version, const std::string& payload) {
   return "<catalogResponse status=\"ok\" protocol=\"" + std::to_string(kProtocolMajor) +
          "\" version=\"" + std::to_string(version) + "\">" + payload +
@@ -207,18 +192,80 @@ void check_protocol_version(const xml::Node& request) {
 
 }  // namespace
 
-std::string peek_request_type(std::string_view request_xml) {
-  return std::string(peek_root_attribute(request_xml, "type"));
+RootTagScan scan_root_tag(std::string_view xml, std::string_view name,
+                          std::size_t pos) noexcept {
+  constexpr std::size_t npos = std::string_view::npos;
+  const auto is_space = [](char c) {
+    return c == ' ' || c == '\t' || c == '\n' || c == '\r';
+  };
+  const auto skip_space = [&](std::size_t i) {
+    while (i < xml.size() && is_space(xml[i])) ++i;
+    return i;
+  };
+  RootTagScan scan;
+  for (std::size_t i = pos; i < xml.size();) {
+    const char c = xml[i];
+    if (c == '>') {
+      scan.end = i + 1;
+      return scan;
+    }
+    std::size_t quote = npos;  // opening quote of a value to skip or capture
+    bool wanted = false;
+    if (c == '"' || c == '\'') {
+      quote = i;
+    } else if (!name.empty() && scan.value_pos == npos && i > pos && is_space(xml[i - 1]) &&
+               xml.compare(i, name.size(), name) == 0) {
+      std::size_t j = skip_space(i + name.size());
+      if (j < xml.size() && xml[j] == '=') {
+        j = skip_space(j + 1);
+        if (j < xml.size() && (xml[j] == '"' || xml[j] == '\'')) {
+          quote = j;
+          wanted = true;
+        }
+      }
+    }
+    if (quote == npos) {
+      ++i;
+      continue;
+    }
+    const std::size_t close = xml.find(xml[quote], quote + 1);
+    if (close == npos) return RootTagScan{};  // unterminated value: no end, no value
+    if (wanted) {
+      scan.value_pos = quote + 1;
+      scan.value = xml.substr(quote + 1, close - quote - 1);
+    }
+    i = close + 1;
+  }
+  return scan;
 }
 
 std::string peek_request_attr(std::string_view request_xml, std::string_view name) {
-  return std::string(peek_root_attribute(request_xml, name));
+  const RootTagScan scan = scan_root_tag(request_xml, name);
+  if (scan.value.find('&') == std::string_view::npos) return std::string(scan.value);
+  // Escaped value: decode it with the service's own parser, so the result
+  // is what the handler will see. A malformed reference stays raw — the
+  // handler rejects the request anyway.
+  const char quote = request_xml[scan.value_pos - 1];
+  std::string element = "<v a=";
+  element += quote;
+  element += scan.value;
+  element += quote;
+  element += "/>";
+  try {
+    return std::string(*xml::parse_fragment(element)->attribute("a"));
+  } catch (const xml::ParseError&) {
+    return std::string(scan.value);
+  }
+}
+
+std::string peek_request_type(std::string_view request_xml) {
+  return peek_request_attr(request_xml, "type");
 }
 
 long peek_timeout_ms(std::string_view request_xml) {
-  const std::string_view text = peek_root_attribute(request_xml, "timeoutMs");
+  const std::string text = peek_request_attr(request_xml, "timeoutMs");
   if (text.empty()) return -1;
-  const auto value = util::parse_int(std::string(text));
+  const auto value = util::parse_int(text);
   return value && *value >= 0 ? static_cast<long>(*value) : -1;
 }
 

@@ -136,18 +136,39 @@ ObjectQuery query_from_xml(const xml::Node& request);
 /// catch-all — the slot set for a per-request-type MetricsRegistry.
 const std::vector<std::string>& service_request_type_names();
 
-/// Light scan of a serialized request's root tag for its type attribute
-/// (no DOM build — used by the dispatcher to classify rejected requests).
-/// Returns "" when no type is found.
-std::string peek_request_type(std::string_view request_xml);
+/// Result of scan_root_tag.
+struct RootTagScan {
+  /// One past the tag's first unquoted '>'; npos when the tag is
+  /// unterminated.
+  std::size_t end = std::string_view::npos;
+  /// Offset of the requested attribute's value (just past its opening
+  /// quote); npos when the attribute is absent.
+  std::size_t value_pos = std::string_view::npos;
+  /// The value between the quotes, still entity-escaped.
+  std::string_view value;
+};
 
-/// Light scan of a serialized request's root tag for an arbitrary
-/// attribute (same mechanics as peek_request_type; the federation router
-/// routes on objectID= without a DOM build). Returns "" when absent.
+/// The wire protocol's one light tag scanner (no DOM build, no allocation,
+/// one pass). Walks the tag that opens at `pos`, skipping quoted values of
+/// either quote type, and stops at the first unquoted '>'. `name` matches
+/// only a whole attribute name that follows whitespace (`name = 'v'` and
+/// `name="v"` both match; `xname="v"` and text inside another value do
+/// not). An empty `name` only locates the tag end.
+RootTagScan scan_root_tag(std::string_view xml, std::string_view name,
+                          std::size_t pos = 0) noexcept;
+
+/// A root-tag attribute's value, entity-decoded exactly as the service's
+/// XML parser decodes it (so a router and the shard behind it agree on
+/// every value). Returns "" when absent. The router routes on type=,
+/// name= and objectID= with it, without a DOM build.
 std::string peek_request_attr(std::string_view request_xml, std::string_view name);
 
-/// Light scan for the root tag's timeoutMs attribute. Returns a negative
-/// value when absent or non-numeric. timeoutMs="0" means "already expired"
+/// peek_request_attr for the type attribute (the dispatcher classifies
+/// rejected and cacheable requests with it). Returns "" when absent.
+std::string peek_request_type(std::string_view request_xml);
+
+/// The root tag's timeoutMs attribute. Returns a negative value when
+/// absent or non-numeric. timeoutMs="0" means "already expired"
 /// (deterministic timeout); absence means "no per-request deadline".
 long peek_timeout_ms(std::string_view request_xml);
 

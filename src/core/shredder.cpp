@@ -12,41 +12,40 @@ namespace hxrc::core {
 
 void install_storage(rel::Database& db) {
   using rel::Type;
-  db.create_table(kObjectsTable, rel::TableSchema{{"object_id", Type::kInt},
-                                                  {"name", Type::kString},
-                                                  {"owner", Type::kString}});
-  db.create_table(kAttrInstancesTable, rel::TableSchema{{"object_id", Type::kInt},
-                                                        {"attr_id", Type::kInt},
-                                                        {"seq", Type::kInt},
-                                                        {"top", Type::kInt},
-                                                        {"clob_seq", Type::kInt}});
-  db.create_table(kAttrInvertedTable, rel::TableSchema{{"object_id", Type::kInt},
-                                                       {"attr_id", Type::kInt},
-                                                       {"seq", Type::kInt},
-                                                       {"anc_attr_id", Type::kInt},
-                                                       {"anc_seq", Type::kInt},
-                                                       {"distance", Type::kInt}});
-  db.create_table(kElemDataTable, rel::TableSchema{{"object_id", Type::kInt},
-                                                   {"attr_id", Type::kInt},
-                                                   {"seq", Type::kInt},
-                                                   {"elem_id", Type::kInt},
-                                                   {"elem_seq", Type::kInt},
-                                                   {"value_str", Type::kString},
-                                                   {"value_num", Type::kDouble}});
-  db.create_table(kAttrClobsTable, rel::TableSchema{{"object_id", Type::kInt},
-                                                    {"order_id", Type::kInt},
-                                                    {"clob_seq", Type::kInt},
-                                                    {"clob_id", Type::kInt}});
-}
-
-void install_storage_indexes(rel::Database& db) {
-  db.require_table(kObjectsTable).create_hash_index("idx_objects_id", {"object_id"});
-  rel::Table& instances = db.require_table(kAttrInstancesTable);
+  rel::Table& objects = db.create_table(
+      kObjectsTable, rel::TableSchema{{"object_id", Type::kInt},
+                                      {"name", Type::kString},
+                                      {"owner", Type::kString}});
+  rel::Table& instances = db.create_table(
+      kAttrInstancesTable, rel::TableSchema{{"object_id", Type::kInt},
+                                            {"attr_id", Type::kInt},
+                                            {"seq", Type::kInt},
+                                            {"top", Type::kInt},
+                                            {"clob_seq", Type::kInt}});
+  rel::Table& inverted = db.create_table(
+      kAttrInvertedTable, rel::TableSchema{{"object_id", Type::kInt},
+                                           {"attr_id", Type::kInt},
+                                           {"seq", Type::kInt},
+                                           {"anc_attr_id", Type::kInt},
+                                           {"anc_seq", Type::kInt},
+                                           {"distance", Type::kInt}});
+  rel::Table& elements = db.create_table(
+      kElemDataTable, rel::TableSchema{{"object_id", Type::kInt},
+                                       {"attr_id", Type::kInt},
+                                       {"seq", Type::kInt},
+                                       {"elem_id", Type::kInt},
+                                       {"elem_seq", Type::kInt},
+                                       {"value_str", Type::kString},
+                                       {"value_num", Type::kDouble}});
+  rel::Table& clobs = db.create_table(
+      kAttrClobsTable, rel::TableSchema{{"object_id", Type::kInt},
+                                        {"order_id", Type::kInt},
+                                        {"clob_seq", Type::kInt},
+                                        {"clob_id", Type::kInt}});
+  objects.create_hash_index("idx_objects_id", {"object_id"});
   instances.create_hash_index("idx_inst_attr", {"attr_id"});
   instances.create_hash_index("idx_inst_object", {"object_id"});
-  rel::Table& inverted = db.require_table(kAttrInvertedTable);
   inverted.create_hash_index("idx_inv_child", {"object_id", "attr_id", "seq"});
-  rel::Table& elements = db.require_table(kElemDataTable);
   elements.create_hash_index("idx_elem_def", {"elem_id"});
   // Value-keyed equality indexes: an equality criterion probes the exact
   // (element, value) bucket instead of scanning the whole element-definition
@@ -57,7 +56,6 @@ void install_storage_indexes(rel::Database& db) {
   // text. See Pipeline::for_each_eq_match in core/engine.cpp.
   elements.create_hash_index("idx_elem_val", {"elem_id", "value_str"});
   elements.create_hash_index("idx_elem_num", {"elem_id", "value_num"});
-  rel::Table& clobs = db.require_table(kAttrClobsTable);
   clobs.create_hash_index("idx_clob_object", {"object_id"});
 }
 
@@ -126,7 +124,7 @@ rel::Value Shredder::string_value(std::string_view s) {
   // Short strings fit a std::string's in-place (SSO) buffer, so storing
   // them owned costs no heap and no dictionary probe — the interner only
   // earns its hash lookup on strings long enough to share heap storage.
-  if (options_.intern_strings && s.size() > kInternMinLength) {
+  if (s.size() > kInternMinLength) {
     return rel::Value::interned(db_.interner().intern(s));
   }
   return rel::Value(std::string(s));
@@ -254,23 +252,6 @@ void Shredder::store_continued(const DocState& state) {
   for (std::size_t order = 0; order < state.clob_seq.size(); ++order) {
     if (state.clob_seq[order] != 0) {
       counters.clob[static_cast<std::int64_t>(order)] = state.clob_seq[order];
-    }
-  }
-}
-
-void Shredder::absorb_counters(const Shredder& other) {
-  continued_.reserve(continued_.size() + other.continued_.size());
-  for (const auto& [object, theirs] : other.continued_) {
-    SiblingCounters& mine = continued_[object];
-    mine.instance.reserve(mine.instance.size() + theirs.instance.size());
-    for (const auto& [def, seq] : theirs.instance) {
-      auto& counter = mine.instance[def];
-      counter = std::max(counter, seq);
-    }
-    mine.clob.reserve(mine.clob.size() + theirs.clob.size());
-    for (const auto& [order, seq] : theirs.clob) {
-      auto& counter = mine.clob[order];
-      counter = std::max(counter, seq);
     }
   }
 }

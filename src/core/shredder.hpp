@@ -16,9 +16,7 @@
 // buffers and flushes each table once per document (Table::append_batch,
 // index-at-a-time maintenance). Registry probes take string_views straight
 // out of the DOM (no temporary strings), and string columns are
-// dictionary-encoded through the database's Interner when `intern_strings`
-// is on — off for parallel-ingest staging shredders, whose rows outlive
-// their staging database (see rel/interner.hpp).
+// dictionary-encoded through the database's Interner.
 #pragma once
 
 #include <stdexcept>
@@ -48,10 +46,6 @@ struct ShredOptions {
   /// Visibility of auto-defined definitions (kUser makes them private to
   /// the ingesting owner).
   Visibility auto_define_visibility = Visibility::kAdmin;
-  /// Dictionary-encode string columns (object name/owner, element values)
-  /// through the database's Interner. Must be OFF for staging shredders
-  /// whose rows are merged into a different, longer-lived database.
-  bool intern_strings = true;
 };
 
 struct ShredStats {
@@ -85,12 +79,6 @@ class Shredder {
   /// new CLOB lands after its existing siblings in rebuilt responses.
   ShredStats shred_additional(const xml::Node& attribute_content, ObjectId object_id,
                               const AttributeRootInfo& root, const std::string& owner);
-
-  /// Imports another shredder's continued-object counters (used when merging
-  /// parallel staging shredders). Linear in the other shredder's counter
-  /// count. Counters for plain-ingested objects need no merging at all:
-  /// they are derived from the object's stored rows on demand.
-  void absorb_counters(const Shredder& other);
 
   /// Persistence of the continued-object counters (catalog save/restore).
   /// Output is key-sorted, so saves are byte-deterministic regardless of
@@ -166,8 +154,8 @@ class Shredder {
   /// only), so repeated inserts skip the row re-derivation.
   void store_continued(const DocState& state);
   void append_inverted(DocState& state, AttrDefId def, std::int64_t seq);
-  /// STRING Value for a row: interned (pointer-sized, dictionary-backed) or
-  /// owned, per options_.intern_strings.
+  /// STRING Value for a row: interned (pointer-sized, dictionary-backed)
+  /// above the SSO length, owned below it.
   rel::Value string_value(std::string_view s);
   /// Flushes the per-document batches into the tables (one append_batch per
   /// non-empty batch), leaving the scratch capacity in place.

@@ -28,12 +28,8 @@ inline constexpr const char* kAttrInvertedTable = "attr_inverted";
 inline constexpr const char* kElemDataTable = "elem_data";
 inline constexpr const char* kAttrClobsTable = "attr_clobs";
 
-/// Creates the five storage tables.
+/// Creates the five storage tables and the secondary indexes the
+/// query/response pipelines probe.
 void install_storage(rel::Database& db);
-
-/// Creates the secondary indexes the query/response pipelines probe.
-/// Split from install_storage so parallel ingest can stage without index
-/// maintenance and index once after the merge.
-void install_storage_indexes(rel::Database& db);
 
 }  // namespace hxrc::core

@@ -5,57 +5,33 @@
 #include <cstdlib>
 
 #include "core/service.hpp"
+#include "util/string_util.hpp"
 
 namespace hxrc::fed {
 
 namespace {
 
-/// Index just past the matching '>' of the tag opening at `pos`, skipping
-/// quoted attribute values (an attribute may legally contain '>').
-std::size_t tag_close(std::string_view s, std::size_t pos) {
-  char quote = 0;
-  for (; pos < s.size(); ++pos) {
-    const char c = s[pos];
-    if (quote != 0) {
-      if (c == quote) quote = 0;
-    } else if (c == '"' || c == '\'') {
-      quote = c;
-    } else if (c == '>') {
-      return pos + 1;
-    }
-  }
-  throw FedError("unterminated tag in shard response");
+/// Index just past the '>' closing the tag that opens at `pos` (quoted
+/// values may legally contain '>').
+std::size_t tag_end(std::string_view s, std::size_t pos) {
+  const std::size_t end = core::scan_root_tag(s, {}, pos).end;
+  if (end == std::string_view::npos) throw FedError("unterminated tag in shard response");
+  return end;
 }
 
-/// Value of `name="..."` inside the root tag of `xml` (quote-naive on the
-/// needle is fine: attribute names never appear inside values we emit).
-std::string attr_needle(std::string_view name) {
-  std::string needle(" ");
-  needle += name;
-  needle += "=\"";
-  return needle;
-}
-
+/// Raw value of the root tag's `name` attribute; empty when absent.
 std::string_view root_attr(std::string_view xml, std::string_view name) {
   if (xml.empty() || xml[0] != '<') throw FedError("shard payload is not XML");
-  const std::string_view tag = xml.substr(0, tag_close(xml, 0));
-  const std::string needle = attr_needle(name);
-  const std::size_t at = tag.find(needle);
-  if (at == std::string_view::npos) return {};
-  const std::size_t begin = at + needle.size();
-  const std::size_t end = tag.find('"', begin);
-  if (end == std::string_view::npos) throw FedError("unterminated attribute");
-  return tag.substr(begin, end - begin);
+  const core::RootTagScan scan = core::scan_root_tag(xml, name);
+  if (scan.end == std::string_view::npos) throw FedError("unterminated tag in shard response");
+  return scan.value;
 }
 
 std::uint64_t parse_u64(std::string_view text, const char* what) {
   if (text.empty()) throw FedError(std::string("missing ") + what);
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') throw FedError(std::string("non-numeric ") + what);
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return value;
+  const std::optional<std::uint64_t> value = parse_count(text);
+  if (!value) throw FedError(std::string("non-numeric ") + what);
+  return *value;
 }
 
 bool consume(std::string_view s, std::size_t& pos, std::string_view token) {
@@ -84,7 +60,7 @@ std::size_t matching_result_close(std::string_view s, std::size_t pos) {
       const char next = s[pos + 7];
       if (next == '>' || next == ' ' || next == '\t' || next == '/' ||
           next == '\n' || next == '\r') {
-        const std::size_t end = tag_close(s, pos);
+        const std::size_t end = tag_end(s, pos);
         if (s[end - 2] != '/') ++depth;  // self-closing tags don't nest
         pos = end;
         continue;
@@ -127,6 +103,12 @@ bool take_hex(std::string_view s, std::size_t& pos, std::uint64_t& value) {
 
 }  // namespace
 
+std::optional<std::uint64_t> parse_count(std::string_view text) {
+  const std::optional<std::int64_t> value = util::parse_int(text);
+  if (!value || *value < 0) return std::nullopt;
+  return static_cast<std::uint64_t>(*value);
+}
+
 std::uint32_t placement_shard(std::string_view name, std::uint32_t nshards) {
   std::uint64_t h = 14695981039346656037ull;  // FNV-1a 64
   for (const char c : name) {
@@ -142,7 +124,7 @@ ParsedResponse parse_response(std::string_view response) {
   if (response.rfind(kOpen, 0) != 0) {
     throw FedError("shard response is not a <catalogResponse>");
   }
-  const std::size_t body = tag_close(response, 0);
+  const std::size_t body = tag_end(response, 0);
   const std::size_t end = response.rfind(kClose);
   if (end == std::string_view::npos || end < body) {
     throw FedError("shard response envelope is truncated");
@@ -352,9 +334,11 @@ std::string merge_stats_payload(const std::vector<ShardStatsInput>& shards) {
     for (std::size_t i = 0; i < 5; ++i) {
       const std::string_view value = root_attr(shard.payload, kSummed[i]);
       sums[i] += parse_u64(value, kSummed[i]);
-      child += attr_needle(kSummed[i]);
+      child += ' ';
+      child += kSummed[i];
+      child += "=\"";
       child += value;
-      child += "\"";
+      child += '"';
     }
     const std::uint64_t defs =
         parse_u64(root_attr(shard.payload, "definitions"), "definitions");
@@ -368,9 +352,11 @@ std::string merge_stats_payload(const std::vector<ShardStatsInput>& shards) {
   }
   std::string payload = "<stats";
   for (std::size_t i = 0; i < 5; ++i) {
-    payload += attr_needle(kSummed[i]);
+    payload += ' ';
+    payload += kSummed[i];
+    payload += "=\"";
     payload += std::to_string(sums[i]);
-    payload += "\"";
+    payload += '"';
   }
   payload += " definitions=\"" + std::to_string(definitions) + "\"";
   payload += " version=\"" + std::to_string(version) + "\"";
@@ -383,18 +369,14 @@ std::string merge_stats_payload(const std::vector<ShardStatsInput>& shards) {
 std::string rewrite_root_attr(std::string_view xml, std::string_view name,
                               std::string_view value) {
   if (xml.empty() || xml[0] != '<') throw FedError("request is not XML");
-  const std::string_view tag = xml.substr(0, tag_close(xml, 0));
-  const std::string needle = attr_needle(name);
-  const std::size_t at = tag.find(needle);
-  if (at == std::string_view::npos) {
+  const core::RootTagScan scan = core::scan_root_tag(xml, name);
+  if (scan.value_pos == std::string_view::npos) {
     throw FedError("request has no " + std::string(name) + " attribute");
   }
-  const std::size_t begin = at + needle.size();
-  const std::size_t end = tag.find('"', begin);
-  if (end == std::string_view::npos) throw FedError("unterminated attribute");
-  std::string out(xml.substr(0, begin));
+  // Only the bytes between the quotes change: the quote character stays.
+  std::string out(xml.substr(0, scan.value_pos));
   out += value;
-  out += xml.substr(end);
+  out += xml.substr(scan.value_pos + scan.value.size());
   return out;
 }
 

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -51,6 +52,12 @@ inline std::uint32_t shard_of(std::uint64_t gid, std::uint32_t nshards) {
 inline std::uint64_t lid_of(std::uint64_t gid, std::uint32_t nshards) {
   return gid / nshards;
 }
+
+/// A non-negative decimal integer (object id, limit, version), parsed
+/// exactly as the service layer parses ids and limits (util::parse_int), so
+/// the router and its shards never disagree on a number. nullopt when
+/// malformed or negative.
+std::optional<std::uint64_t> parse_count(std::string_view text);
 
 /// Ingest placement: FNV-1a of the document name mod N. Stable across
 /// router restarts so re-ingest of the same name lands on the same shard.
@@ -173,9 +180,10 @@ std::string merge_stats_payload(const std::vector<ShardStatsInput>& shards);
 // ---------------------------------------------------------------------------
 // Request rewriting.
 
-/// Returns `xml` with the root tag's `name="..."` attribute value replaced
-/// (quote-aware; the attribute must exist). Used to rewrite a client's
-/// objectID="gid" into the owning shard's objectID="lid".
+/// Returns `xml` with the root tag's `name` attribute value replaced (found
+/// by core::scan_root_tag; the attribute must exist, and its original quote
+/// character is kept, so `value` must need no escaping). Used to rewrite a
+/// client's objectID="gid" into the owning shard's objectID="lid".
 std::string rewrite_root_attr(std::string_view xml, std::string_view name,
                               std::string_view value);
 

@@ -15,16 +15,6 @@ using core::peek_request_attr;
 
 namespace {
 
-bool parse_u64_text(std::string_view text, std::uint64_t& value) {
-  if (text.empty()) return false;
-  value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return true;
-}
-
 std::string shard_list(std::vector<std::uint32_t> shards) {
   std::sort(shards.begin(), shards.end());
   std::string out;
@@ -120,10 +110,10 @@ void FederationRouter::submit_async(std::string request_xml,
                 done = std::move(done)]() mutable {
     std::string response = handle(request);
     done(std::move(response));
-    {
-      std::lock_guard lock(drain_mutex_);
-      --inflight_;
-    }
+    // Notify under the lock: once drain() (and so ~FederationRouter) can
+    // observe inflight_ == 0, this worker no longer touches drain_cv_.
+    std::lock_guard lock(drain_mutex_);
+    --inflight_;
     drain_cv_.notify_all();
   });
 }
@@ -214,23 +204,20 @@ std::string FederationRouter::handle_ingest(const std::string& request_xml) {
       parsed.payload.size() <= kOpen.size() + kClose.size()) {
     throw FedError("unexpected ingest payload from shard");
   }
-  std::uint64_t lid = 0;
-  if (!parse_u64_text(parsed.payload.substr(
-          kOpen.size(), parsed.payload.size() - kOpen.size() - kClose.size()),
-                      lid)) {
-    throw FedError("non-numeric ingest objectID from shard");
-  }
+  const std::optional<std::uint64_t> lid = parse_count(parsed.payload.substr(
+      kOpen.size(), parsed.payload.size() - kOpen.size() - kClose.size()));
+  if (!lid) throw FedError("non-numeric ingest objectID from shard");
   return ok_envelope(parsed.version,
-                     "<objectID>" + std::to_string(gid_of(lid, shard, nshards)) +
+                     "<objectID>" + std::to_string(gid_of(*lid, shard, nshards)) +
                          "</objectID>");
 }
 
 std::string FederationRouter::handle_point_op(const std::string& request_xml,
                                               std::string_view type) {
   const std::uint32_t nshards = shard_count();
-  const std::string id_text = peek_request_attr(request_xml, "objectID");
-  std::uint64_t gid = 0;
-  if (!parse_u64_text(id_text, gid)) {
+  const std::optional<std::uint64_t> gid =
+      parse_count(peek_request_attr(request_xml, "objectID"));
+  if (!gid) {
     // Missing or malformed id: forward for the canonical validation error.
     try {
       return call_endpoint(shards_[0]->primary, request_xml);
@@ -238,8 +225,8 @@ std::string FederationRouter::handle_point_op(const std::string& request_xml,
       return unreachable_error(0);
     }
   }
-  const std::uint32_t shard = shard_of(gid, nshards);
-  const std::uint64_t lid = lid_of(gid, nshards);
+  const std::uint32_t shard = shard_of(*gid, nshards);
+  const std::uint64_t lid = lid_of(*gid, nshards);
   const std::string shard_request =
       rewrite_root_attr(request_xml, "objectID", std::to_string(lid));
   const bool read = type == "fetch";
@@ -282,7 +269,7 @@ std::string FederationRouter::handle_point_op(const std::string& request_xml,
     if (parsed.code == "not_found") {
       // The shard names its local id; the client asked about the gid.
       return error_response(ErrorCode::kNotFound,
-                            "object " + id_text + " does not exist");
+                            "object " + std::to_string(*gid) + " does not exist");
     }
     return response;
   }
@@ -334,8 +321,8 @@ std::string FederationRouter::scatter_query(const std::string& request_xml,
                                             bool ids_only) {
   const std::uint32_t nshards = shard_count();
   const std::string cursor_text = peek_request_attr(request_xml, "cursor");
-  std::uint64_t limit = 0;
-  parse_u64_text(peek_request_attr(request_xml, "limit"), limit);
+  const std::uint64_t limit =
+      parse_count(peek_request_attr(request_xml, "limit")).value_or(0);
 
   FedCursor fed;
   bool resuming = false;
@@ -619,9 +606,8 @@ void FederationRouter::run_legs(std::vector<Leg>& legs, bool reads) {
 }
 
 void FederationRouter::note_version(Endpoint& ep, const std::string& response) {
-  std::uint64_t version = 0;
-  if (parse_u64_text(peek_request_attr(response, "version"), version)) {
-    ep.version.store(version, std::memory_order_relaxed);
+  if (const auto version = parse_count(peek_request_attr(response, "version"))) {
+    ep.version.store(*version, std::memory_order_relaxed);
   }
 }
 

@@ -162,22 +162,6 @@ class ClobStore {
     return cache_misses_.load(std::memory_order_relaxed);
   }
 
-  /// Moves every CLOB of `other` into this store (ids continue densely),
-  /// leaving `other` empty. Returns the id offset applied to `other`'s ids.
-  /// `other` must not have paging enabled (shard-local ingest stores don't).
-  ClobId absorb(ClobStore& other) {
-    const auto offset = static_cast<ClobId>(entries_.size());
-    const std::size_t moved = other.entries_.size();
-    for (std::size_t i = 0; i < moved; ++i) {
-      const std::string* payload =
-          other.entries_[i].resident.exchange(nullptr, std::memory_order_relaxed);
-      append(std::move(*const_cast<std::string*>(payload)));
-      delete payload;
-    }
-    other.clear();
-    return offset;
-  }
-
   /// Requires quiescence (restore/teardown paths). Drops segment
   /// coordinates too: re-enable paging with a fresh pager afterwards.
   void clear() noexcept {

@@ -23,7 +23,7 @@
 // Superseded generation lists (and merged-away generations) are handed to
 // an optional util::EpochManager: a concurrent reader that pinned an epoch
 // before the merge keeps probing the old list safely until it unpins. With
-// no reclaimer attached (staging tables, baselines, SQL examples — all
+// no reclaimer attached (baselines, SQL examples — all
 // single-threaded) superseded structures are deleted immediately.
 //
 // Probe forms:

@@ -10,9 +10,7 @@
 //
 // Lifetime contract: interned Values must not outlive the Interner they
 // came from. The Database owns one interner with the same lifetime as its
-// tables, so values in those tables are always safe; transient databases
-// (parallel-ingest staging shards) must NOT intern rows that will be moved
-// into a longer-lived database — staging shredders run with interning off.
+// tables, so values in those tables are always safe.
 #pragma once
 
 #include <deque>

@@ -1,6 +1,5 @@
 #include "rel/serialize.hpp"
 
-#include <charconv>
 #include <cstring>
 #include <istream>
 #include <ostream>
@@ -9,148 +8,8 @@ namespace hxrc::rel {
 
 namespace {
 
-void write_bytes(std::ostream& out, const std::string& bytes) {
-  out << bytes.size() << ' ';
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out << '\n';
-}
-
-std::string read_bytes(std::istream& in) {
-  std::size_t length = 0;
-  if (!(in >> length)) throw SerializeError("expected a byte-length");
-  in.get();  // the single separator space
-  std::string bytes(length, '\0');
-  in.read(bytes.data(), static_cast<std::streamsize>(length));
-  if (static_cast<std::size_t>(in.gcount()) != length) {
-    throw SerializeError("truncated byte payload");
-  }
-  return bytes;
-}
-
-void write_value(std::ostream& out, const Value& value) {
-  switch (value.type()) {
-    case Type::kNull:
-      out << "N\n";
-      break;
-    case Type::kInt:
-      out << "I " << value.as_int() << '\n';
-      break;
-    case Type::kDouble: {
-      char buf[32];
-      const auto [ptr, ec] = std::to_chars(buf, buf + sizeof buf, value.as_double());
-      (void)ec;
-      out << "D " << std::string_view(buf, static_cast<std::size_t>(ptr - buf)) << '\n';
-      break;
-    }
-    case Type::kString:
-      out << "S ";
-      out << value.as_string().size() << ' ';
-      out.write(value.as_string().data(),
-                static_cast<std::streamsize>(value.as_string().size()));
-      out << '\n';
-      break;
-  }
-}
-
-Value read_value(std::istream& in) {
-  std::string tag;
-  if (!(in >> tag)) throw SerializeError("expected a value tag");
-  if (tag == "N") return Value::null();
-  if (tag == "I") {
-    std::int64_t v = 0;
-    if (!(in >> v)) throw SerializeError("bad integer value");
-    return Value(v);
-  }
-  if (tag == "D") {
-    double v = 0.0;
-    if (!(in >> v)) throw SerializeError("bad double value");
-    return Value(v);
-  }
-  if (tag == "S") return Value(read_bytes(in));
-  throw SerializeError("unknown value tag '" + tag + "'");
-}
-
-}  // namespace
-
-void save_database(const Database& db, std::ostream& out) {
-  out << "HXRCDB 1\n";
-
-  out << "clobs " << db.clobs().count() << '\n';
-  for (std::size_t c = 0; c < db.clobs().count(); ++c) {
-    write_bytes(out, db.clobs().get(static_cast<ClobId>(c)));
-  }
-
-  for (const std::string& name : db.table_names()) {
-    const Table& table = *db.table(name);
-    out << "table ";
-    write_bytes(out, name);
-    out << table.schema().size() << ' ' << table.row_count() << '\n';
-    for (const Row& row : table.rows()) {
-      for (const Value& value : row) write_value(out, value);
-    }
-  }
-  out << "end\n";
-  if (!out) throw SerializeError("write failed");
-}
-
-void load_database_into(Database& db, std::istream& in) {
-  std::string magic;
-  int version = 0;
-  if (!(in >> magic >> version) || magic != "HXRCDB" || version != 1) {
-    throw SerializeError("not an HXRCDB version-1 stream");
-  }
-
-  std::string token;
-  if (!(in >> token) || token != "clobs") throw SerializeError("expected clobs section");
-  std::size_t clob_count = 0;
-  in >> clob_count;
-  db.clobs().clear();
-  for (std::size_t c = 0; c < clob_count; ++c) {
-    db.clobs().append(read_bytes(in));
-  }
-
-  // Truncate every existing table; the stream refills the ones it has.
-  for (const std::string& name : db.table_names()) {
-    db.require_table(name).truncate();
-  }
-
-  while (in >> token) {
-    if (token == "end") return;
-    if (token != "table") throw SerializeError("expected a table section, got '" + token + "'");
-    const std::string name = read_bytes(in);
-    std::size_t cols = 0;
-    std::size_t rows = 0;
-    if (!(in >> cols >> rows)) throw SerializeError("bad table header");
-    Table* table = db.table(name);
-    if (table == nullptr) {
-      throw SerializeError("stream contains unknown table '" + name + "'");
-    }
-    if (table->schema().size() != cols) {
-      throw SerializeError("arity mismatch for table '" + name + "'");
-    }
-    for (std::size_t r = 0; r < rows; ++r) {
-      Row row;
-      row.reserve(cols);
-      for (std::size_t c = 0; c < cols; ++c) row.push_back(read_value(in));
-      table->append(std::move(row));
-    }
-  }
-  throw SerializeError("missing end marker");
-}
-
-// ---- binary format -------------------------------------------------------
-//
-//   "HXRCDBB1"
-//   u64 clob_count; per clob: u64 len, bytes
-//   u32 table_count; per table: str name, u32 cols, u64 rows, rows*cols values
-//   value := u8 tag (0 NULL, 1 INT, 2 DOUBLE, 3 STRING)
-//            | i64 LE | double bit pattern LE | u32 len + bytes
-//   "HXRCDBE1"
-
-namespace {
-
-constexpr char kBinMagic[8] = {'H', 'X', 'R', 'C', 'D', 'B', 'B', '1'};
-constexpr char kBinEnd[8] = {'H', 'X', 'R', 'C', 'D', 'B', 'E', '1'};
+constexpr char kMagic[8] = {'H', 'X', 'R', 'C', 'D', 'B', 'B', '1'};
+constexpr char kEnd[8] = {'H', 'X', 'R', 'C', 'D', 'B', 'E', '1'};
 
 void put_u32(std::ostream& out, std::uint32_t v) {
   char buf[4];
@@ -167,7 +26,7 @@ void put_u64(std::ostream& out, std::uint64_t v) {
 void get_exact(std::istream& in, char* buf, std::size_t n) {
   in.read(buf, static_cast<std::streamsize>(n));
   if (static_cast<std::size_t>(in.gcount()) != n) {
-    throw SerializeError("truncated binary database stream");
+    throw SerializeError("truncated database stream");
   }
 }
 
@@ -245,14 +104,14 @@ Value get_value(std::istream& in) {
     case 3:
       return Value(get_str(in));
     default:
-      throw SerializeError("unknown binary value tag " + std::to_string(int(tag)));
+      throw SerializeError("unknown value tag " + std::to_string(int(tag)));
   }
 }
 
 }  // namespace
 
-void save_database_binary(const Database& db, std::ostream& out) {
-  out.write(kBinMagic, sizeof kBinMagic);
+void save_database(const Database& db, std::ostream& out) {
+  out.write(kMagic, sizeof kMagic);
   put_u64(out, db.clobs().count());
   for (std::size_t c = 0; c < db.clobs().count(); ++c) {
     const std::string& clob = db.clobs().get(static_cast<ClobId>(c));
@@ -270,17 +129,18 @@ void save_database_binary(const Database& db, std::ostream& out) {
       for (const Value& value : row) put_value(out, value);
     }
   }
-  out.write(kBinEnd, sizeof kBinEnd);
-  if (!out) throw SerializeError("binary write failed");
+  out.write(kEnd, sizeof kEnd);
+  if (!out) throw SerializeError("write failed");
 }
 
-void load_database_into_binary(Database& db, std::istream& in) {
-  // Tolerate the single newline (or spaces) a text header leaves behind.
+void load_database_into(Database& db, std::istream& in) {
+  // Tolerate the newline (or spaces) the catalog stream's text header
+  // leaves behind.
   while (in.peek() == '\n' || in.peek() == ' ' || in.peek() == '\r') in.get();
   char magic[8];
   get_exact(in, magic, sizeof magic);
-  if (std::memcmp(magic, kBinMagic, sizeof magic) != 0) {
-    throw SerializeError("not an HXRCDBB1 binary database stream");
+  if (std::memcmp(magic, kMagic, sizeof magic) != 0) {
+    throw SerializeError("not an HXRCDBB1 database stream");
   }
   db.clobs().clear();
   const std::uint64_t clob_count = get_u64(in);
@@ -315,8 +175,8 @@ void load_database_into_binary(Database& db, std::istream& in) {
   }
   char end[8];
   get_exact(in, end, sizeof end);
-  if (std::memcmp(end, kBinEnd, sizeof end) != 0) {
-    throw SerializeError("missing binary end marker");
+  if (std::memcmp(end, kEnd, sizeof end) != 0) {
+    throw SerializeError("missing end marker");
   }
 }
 

@@ -1,22 +1,21 @@
-// Database serialization: a simple, debuggable text format with
-// length-prefixed strings (safe against embedded newlines/quotes).
+// Database serialization: the stable binary form of a database's content,
+// used as the table/CLOB section of the catalog snapshot stream.
 //
-// Layout:
-//   HXRCDB 1
-//   clobs <count>
-//   <len> <bytes...>            (one per CLOB, byte-exact)
-//   table <name-len> <name> <cols> <rows>
-//   ... per row: one value per token:
-//       N            NULL
-//       I <int>
-//       D <shortest-round-trip double>
-//       S <len> <bytes...>
-//   end
+// Layout (little-endian fixed-width integers, length-prefixed strings):
+//   "HXRCDBB1"
+//   u64 clob_count; per clob: u64 len, bytes
+//   u32 table_count; per table: str name, u32 cols, u64 rows, rows*cols values
+//   value := u8 tag (0 NULL, 1 INT, 2 DOUBLE, 3 STRING)
+//            | i64 | raw IEEE double bit pattern | u32 len + bytes
+//   "HXRCDBE1"
 //
-// save_database writes every table (alphabetical) plus the CLOB store;
-// index definitions are NOT serialized — load_database_into refills the
-// target database's existing tables (created by the application with their
-// indexes), so indexes rebuild on load.
+// save_database writes every table (alphabetical) plus the CLOB store.
+// Doubles round-trip exactly. Interned string values serialize by content,
+// so the bytes are independent of interner pointer identity; on load they
+// become owned strings. Index definitions are NOT serialized —
+// load_database_into refills the target database's existing tables
+// (created by the application with their indexes), so indexes rebuild on
+// load.
 #pragma once
 
 #include <iosfwd>
@@ -36,18 +35,9 @@ void save_database(const Database& db, std::ostream& out);
 /// Restores into an existing database whose tables were already created
 /// (schemas must match by name/arity; extra tables in `db` that are absent
 /// from the stream are truncated). Existing rows and CLOBs are discarded.
+/// Leading ASCII whitespace is skipped so the section can follow a text
+/// header. Throws SerializeError on an unknown table, an arity mismatch, a
+/// bad magic or end marker, or a truncated stream.
 void load_database_into(Database& db, std::istream& in);
-
-/// Stable binary form of the same content (the snapshot format of the
-/// durability subsystem): little-endian fixed-width integers, raw IEEE
-/// double bit patterns (exact round trip, unlike the text form's shortest
-/// decimal), length-prefixed strings, and an end marker. Interned string
-/// values serialize by content, so the bytes are independent of interner
-/// pointer identity; on load they become owned strings.
-void save_database_binary(const Database& db, std::ostream& out);
-
-/// Binary counterpart of load_database_into (same table contract). Leading
-/// ASCII whitespace is skipped so the section can follow a text header.
-void load_database_into_binary(Database& db, std::istream& in);
 
 }  // namespace hxrc::rel

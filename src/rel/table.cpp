@@ -45,30 +45,6 @@ RowId Table::append_batch_unchecked(std::vector<Row>&& rows) {
   return first;
 }
 
-void Table::merge_from(const Table& other) {
-  if (other.schema().size() != schema_.size()) {
-    throw TypeError("merge_from: arity mismatch between '" + name_ + "' and '" +
-                    other.name() + "'");
-  }
-  rows_.reserve(rows_.size() + other.row_count());
-  for (const Row& row : other.rows()) {
-    append_unchecked(row);
-  }
-}
-
-void Table::merge_move_from(Table& other) {
-  if (other.schema().size() != schema_.size()) {
-    throw TypeError("merge_move_from: arity mismatch between '" + name_ + "' and '" +
-                    other.name() + "'");
-  }
-  rows_.reserve(rows_.size() + other.row_count());
-  const std::size_t moved = other.rows_.size();
-  for (std::size_t i = 0; i < moved; ++i) {
-    append_unchecked(std::move(other.rows_[i]));
-  }
-  other.truncate();
-}
-
 void Table::truncate() {
   // Requires quiescence: rows and index generations are freed in place.
   rows_.clear();

@@ -60,8 +60,8 @@ class Table {
   /// maintenance is deferred to the next probe (see rel/index.hpp).
   RowId append(Row row);
 
-  /// Appends without per-value type checks (used by bulk merge of staged
-  /// rows that were validated at staging time).
+  /// Appends without per-value type checks, for rows typed correctly by
+  /// construction.
   RowId append_unchecked(Row row);
 
   /// Pre-sizes row storage for an expected total row count.
@@ -75,13 +75,6 @@ class Table {
   /// append_batch without per-value type checks, for callers whose rows are
   /// typed correctly by construction (the shredder's row builders).
   RowId append_batch_unchecked(std::vector<Row>&& rows);
-
-  /// Appends every row of `other` (schemas must have equal arity).
-  void merge_from(const Table& other);
-
-  /// Move-merges: like merge_from but steals the rows, leaving `other`
-  /// empty. Used when draining parallel staging tables.
-  void merge_move_from(Table& other);
 
   /// Removes all rows and clears indexes.
   void truncate();

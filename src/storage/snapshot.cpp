@@ -49,9 +49,9 @@ std::string encode_snapshot(const core::MetadataCatalog& catalog, bool locked) {
   std::ostringstream out;
   out << kHeader;
   if (locked) {
-    catalog.save_binary_unlocked(out);
+    catalog.save_unlocked(out);
   } else {
-    catalog.save_binary(out);
+    catalog.save(out);
   }
   std::string bytes = std::move(out).str();
   const std::uint32_t crc = crc32c(0, bytes.data(), bytes.size());

@@ -2,8 +2,8 @@
 //
 // A snapshot is the whole catalog state (registry, annotated-schema-derived
 // definitions, shredded tables, ordering tables, collections, CLOB store,
-// same-sibling counters, version epoch) in the format-2 catalog stream
-// (MetadataCatalog::save_binary), wrapped for crash safety:
+// same-sibling counters, version epoch) in the `HXRCCAT 2` catalog stream
+// (MetadataCatalog::save), wrapped for crash safety:
 //
 //   file    := "HXSNAP 1\n" payload trailer
 //   trailer := "HXSNAPOK" u32 crc32c(header + payload)

@@ -1,14 +1,9 @@
-// The MetadataCatalog facade: ingest paths, parallel ingest, definitions.
+// The MetadataCatalog facade: ingest paths, definitions.
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "core/catalog.hpp"
-#include "workload/generator.hpp"
 #include "workload/lead_schema.hpp"
 #include "workload/query_gen.hpp"
-#include "xml/canonical.hpp"
-#include "xml/parser.hpp"
 
 namespace hxrc::core {
 namespace {
@@ -40,68 +35,6 @@ TEST(Catalog, DatabaseIsQueryableViaSql) {
   const rel::ResultSet order = catalog.database().execute(
       "SELECT COUNT(*) FROM schema_order WHERE is_attr = 1");
   EXPECT_EQ(order.rows[0][0].as_int(), 14);
-}
-
-TEST(Catalog, ParallelIngestMatchesSerialIngest) {
-  workload::DocumentGenerator generator;
-  const auto docs = generator.corpus(60);
-
-  xml::Schema schema_a = workload::lead_schema();
-  MetadataCatalog serial(schema_a, workload::lead_annotations(), auto_define_config());
-  // Pre-register the dynamic definitions by serially ingesting everything.
-  for (std::size_t i = 0; i < docs.size(); ++i) {
-    serial.ingest(docs[i], "doc-" + std::to_string(i), "u");
-  }
-
-  // Parallel catalog: dynamic definitions must be pre-registered; copy them
-  // from the serial catalog.
-  xml::Schema schema_b = workload::lead_schema();
-  MetadataCatalog parallel(schema_b, workload::lead_annotations());
-  std::vector<AttrDefId> id_map(serial.registry().attributes().size(), kNoAttr);
-  for (const AttributeDef& def : serial.registry().attributes()) {
-    if (def.kind != AttrKind::kDynamic) continue;
-    const AttrDefId parent =
-        def.parent == kNoAttr ? kNoAttr : id_map[static_cast<std::size_t>(def.parent)];
-    const AttrDefId new_id =
-        def.parent == kNoAttr
-            ? parallel.define_dynamic_attribute(def.name, def.source)
-            : parallel.define_dynamic_sub_attribute(parent, def.name, def.source);
-    id_map[static_cast<std::size_t>(def.id)] = new_id;
-  }
-  for (const ElementDef& elem : serial.registry().elements()) {
-    const AttributeDef& owner =
-        serial.registry().attribute(elem.attribute);
-    if (owner.kind != AttrKind::kDynamic) continue;
-    // Re-register elements under the mapped definition.
-    const AttrDefId mapped = id_map[static_cast<std::size_t>(owner.id)];
-    ASSERT_NE(mapped, kNoAttr);
-    parallel.registry().define_element(elem.name, elem.source, mapped, elem.type);
-  }
-
-  util::ThreadPool pool(4);
-  const auto ids = parallel.ingest_parallel(pool, docs, "u");
-  EXPECT_EQ(ids.size(), docs.size());
-
-  // Same query results on both catalogs.
-  workload::QueryGenerator queries;
-  for (std::uint64_t q = 0; q < 20; ++q) {
-    const ObjectQuery query = queries.generate(q);
-    EXPECT_EQ(serial.query(query), parallel.query(query)) << "query " << q;
-  }
-
-  // Documents reconstruct identically.
-  for (std::size_t i = 0; i < docs.size(); i += 7) {
-    EXPECT_EQ(xml::canonical(docs[i]), xml::canonical(parallel.fetch(ids[i])));
-  }
-}
-
-TEST(Catalog, ParallelIngestRejectsAutoDefine) {
-  xml::Schema schema = workload::lead_schema();
-  MetadataCatalog catalog(schema, workload::lead_annotations(), auto_define_config());
-  util::ThreadPool pool(2);
-  workload::DocumentGenerator generator;
-  const auto docs = generator.corpus(4);
-  EXPECT_THROW(catalog.ingest_parallel(pool, docs, "u"), ValidationError);
 }
 
 TEST(Catalog, DefineDynamicAttributeWithElements) {

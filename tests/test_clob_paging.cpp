@@ -93,25 +93,6 @@ TEST(ClobPaging, SealedPayloadsRetireThroughReclaimer) {
   EXPECT_EQ(store.get(3), payload(3));  // still readable from the page file
 }
 
-TEST(ClobPaging, AbsorbMovesShardClobsIntoPagedStore) {
-  storage::PagedClobFile pager(temp_page_file("absorb"));
-  rel::ClobStore main;
-  main.enable_paging(&pager, /*segment_bytes=*/256);
-  main.append("head");
-
-  rel::ClobStore shard;  // ingest shards never page
-  shard.append("alpha");
-  shard.append(payload(3));
-
-  const rel::ClobId offset = main.absorb(shard);
-  EXPECT_EQ(offset, 1);
-  EXPECT_EQ(shard.count(), 0u);
-  main.flush();
-  EXPECT_EQ(main.get(0), "head");
-  EXPECT_EQ(main.get(1), "alpha");
-  EXPECT_EQ(main.get(2), payload(3));
-}
-
 TEST(ClobPaging, CorruptSegmentIsDetected) {
   const std::string path = temp_page_file("corrupt");
   storage::PagedClobFile pager(path);

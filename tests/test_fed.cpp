@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -303,6 +305,24 @@ TEST(FedMerge, RewriteRootAttrReplacesOnlyTheRootValue) {
             "</catalogRequest>");
   EXPECT_THROW(rewrite_root_attr("<catalogRequest/>", "objectID", "1"),
                FedError);
+}
+
+TEST(FedMerge, RewriteRootAttrKeepsQuotesAndSkipsQuotedValues) {
+  // A '>' or an attribute-like run inside another value neither ends the
+  // root tag nor matches; the rewritten value keeps its quote character.
+  EXPECT_EQ(rewrite_root_attr(
+                "<catalogRequest user=\"a>b objectID='3'\" type='fetch' "
+                "objectID = '41'/>",
+                "objectID", "20"),
+            "<catalogRequest user=\"a>b objectID='3'\" type='fetch' "
+            "objectID = '20'/>");
+  EXPECT_THROW(rewrite_root_attr("<catalogRequest xobjectID='4'/>", "objectID", "1"),
+               FedError);
+  const ParsedResponse parsed = parse_response(
+      "<catalogResponse note='x>y' status='ok' version='7'><deleted/></catalogResponse>");
+  EXPECT_TRUE(parsed.ok);
+  EXPECT_EQ(parsed.version, 7u);
+  EXPECT_EQ(parsed.payload, "<deleted/>");
 }
 
 // ---------------------------------------------------------------------------
@@ -627,6 +647,94 @@ TEST(Router, IngestRoutesByNameAndRemapsPointOps) {
             "unknown_type");
 }
 
+/// Four spellings of one request whose root tag leads with
+/// user="a&gt;b": as written (double quotes, '>' escaped); with every
+/// root-tag quote single; with the '>' in user left literal, so a quoted
+/// '>' precedes type=; and with the first character of every other root
+/// value written as a character reference (type="&#102;etch"). The shard's
+/// XML parser reads all four alike, so the router must too.
+std::vector<std::string> spellings(const std::string& canonical) {
+  const std::size_t root_end = canonical.find('>');
+  std::string single = canonical;
+  std::replace(single.begin(), single.begin() + static_cast<std::ptrdiff_t>(root_end),
+               '"', '\'');
+  std::string angle = canonical;
+  angle.replace(angle.find("a&gt;b"), 6, "a>b");
+  std::string escaped;
+  for (std::size_t i = 0; i < canonical.size(); ++i) {
+    escaped += canonical[i];
+    if (i < root_end && canonical[i] == '"' && canonical[i - 1] == '=' &&
+        canonical[i + 1] != '&') {
+      escaped += "&#" + std::to_string(static_cast<int>(canonical[++i])) + ";";
+    }
+  }
+  return {canonical, single, angle, escaped};
+}
+
+std::string fetch_request(std::uint64_t gid) {
+  return "<catalogRequest user=\"a&gt;b\" type=\"fetch\" objectID=\"" +
+         std::to_string(gid) + "\"/>";
+}
+
+TEST(Router, EveryLegalSpellingRoutesLikeTheCanonicalRequest) {
+  FedCluster cluster(4);
+  // Ingest: every spelling lands on its name's placement shard and gets a
+  // fresh gid (a misrouted ingest would return a raw shard-0 local id).
+  std::vector<std::uint64_t> gids;
+  std::vector<std::string> resources;
+  for (int i = 0; i < 4; ++i) {
+    for (std::size_t v = 0; v < 4; ++v) {
+      const std::string name = "doc-" + std::to_string(i) + "-" + std::to_string(v);
+      std::string doc = workload::fig3_document();
+      doc.replace(doc.find("arps-run-42"), 11, "run-" + name);
+      const std::string canonical = "<catalogRequest user=\"a&gt;b\" type=\"ingest\" name=\"" +
+                                    name + "\">" + doc + "</catalogRequest>";
+      const std::string response = cluster.route(spellings(canonical)[v]);
+      ASSERT_EQ(status_of(response), "ok") << response;
+      const std::uint64_t gid = std::stoull(
+          std::string(xml::parse(response).root->child_text("objectID")));
+      EXPECT_EQ(shard_of(gid, 4), placement_shard(name, 4)) << name;
+      EXPECT_EQ(std::count(gids.begin(), gids.end(), gid), 0) << name;
+      gids.push_back(gid);
+      resources.push_back("run-" + name);
+    }
+  }
+
+  // Fetch: all spellings answer the same object, under its gid.
+  for (std::size_t g = 0; g < gids.size(); ++g) {
+    const std::vector<std::string> variants = spellings(fetch_request(gids[g]));
+    const std::string expected = cluster.route(variants[0]);
+    ASSERT_EQ(status_of(expected), "ok") << expected;
+    EXPECT_NE(expected.find(resources[g]), std::string::npos);
+    for (std::size_t v = 1; v < variants.size(); ++v) {
+      EXPECT_EQ(cluster.route(variants[v]), expected) << gids[g] << " spelling " << v;
+    }
+  }
+
+  // Query: every spelling yields the same merged page and cursor.
+  std::string wire = theme_query_wire(false, 5);
+  wire.insert(std::string("<catalogRequest").size(), " user=\"a&gt;b\"");
+  const std::vector<std::string> queries = spellings(wire);
+  const std::string page = cluster.route(queries[0]);
+  ASSERT_EQ(status_of(page), "ok") << page;
+  EXPECT_EQ(parse_query_payload(parse_response(page).payload, false).results.size(), 5u);
+  for (std::size_t v = 1; v < queries.size(); ++v) {
+    EXPECT_EQ(cluster.route(queries[v]), page) << "spelling " << v;
+  }
+
+  // Delete: each spelling removes exactly the named object.
+  for (std::size_t v = 0; v < 4; ++v) {
+    const std::uint64_t victim = gids[v];
+    std::string request = fetch_request(victim);
+    request.replace(request.find("fetch"), 5, "delete");
+    ASSERT_EQ(status_of(cluster.route(spellings(request)[v])), "ok");
+    EXPECT_EQ(code_of(cluster.route(fetch_request(victim))), "not_found") << victim;
+  }
+  for (std::size_t g = 4; g < gids.size(); ++g) {
+    EXPECT_EQ(status_of(cluster.route(fetch_request(gids[g]))), "ok") << gids[g];
+  }
+}
+
 TEST(Router, QueryMergeIsByteIdenticalToShardPages) {
   FedCluster cluster(2);
   std::vector<std::uint64_t> gids;
@@ -913,6 +1021,36 @@ TEST(Router, BrokerSurfaceDrainsAndRefusesLateWork) {
       "<catalogRequest type=\"stats\"/>", [&](std::string r) { late = std::move(r); },
       true);
   EXPECT_EQ(code_of(late), "draining");
+}
+
+TEST(Router, DestroyedRightAfterAsyncCompletions) {
+  // The last completion's bookkeeping must be finished before drain() lets
+  // the destructor run (TSan flags a condition variable destroyed while a
+  // worker still notifies it).
+  FedShard shard;
+  for (int round = 0; round < 20; ++round) {
+    RouterOptions options;
+    ShardEndpoint endpoint;
+    endpoint.primary_port = shard.server->port();
+    options.shards.push_back(endpoint);
+    options.workers = 4;
+    options.io_timeout_ms = 2000;
+    options.probe_interval_ms = 0;
+    auto router = std::make_unique<FederationRouter>(std::move(options));
+    constexpr int kBurst = 16;
+    std::atomic<int> completed{0};
+    std::promise<void> all_done;
+    for (int i = 0; i < kBurst; ++i) {
+      router->submit_async(
+          "<catalogRequest type=\"stats\"/>",
+          [&](std::string) {
+            if (completed.fetch_add(1) + 1 == kBurst) all_done.set_value();
+          },
+          true);
+    }
+    all_done.get_future().wait();
+    router.reset();  // at once: the last worker may still be finishing up
+  }
 }
 
 }  // namespace

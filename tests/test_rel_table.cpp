@@ -81,23 +81,6 @@ TEST(Table, IndexOnResolvesByColumns) {
   EXPECT_EQ(t.index_on({1}), nullptr);
 }
 
-TEST(Table, MergeFromAppendsAndIndexes) {
-  Table a = make_table();
-  a.create_hash_index("by_id", {"id"});
-  Table b = make_table();
-  b.append(Row{Value(std::int64_t{7}), Value("m"), Value(1.0)});
-  b.append(Row{Value(std::int64_t{8}), Value("n"), Value(2.0)});
-  a.merge_from(b);
-  EXPECT_EQ(a.row_count(), 2u);
-  EXPECT_EQ(a.index("by_id")->lookup(Key{{Value(std::int64_t{8})}}).size(), 1u);
-}
-
-TEST(Table, MergeArityMismatchThrows) {
-  Table a = make_table();
-  Table b("other", TableSchema{{"x", Type::kInt}});
-  EXPECT_THROW(a.merge_from(b), TypeError);
-}
-
 TEST(Table, TruncateClearsRowsAndKeepsIndexDefinitions) {
   Table t = make_table();
   t.create_hash_index("by_id", {"id"});
@@ -111,21 +94,6 @@ TEST(Table, TruncateClearsRowsAndKeepsIndexDefinitions) {
   t.append(Row{Value(std::int64_t{2}), Value("b"), Value(0.2)});
   EXPECT_EQ(t.index("by_id")->lookup(Key{{Value(std::int64_t{2})}}).size(), 1u);
   EXPECT_NE(dynamic_cast<const OrderedIndex*>(t.index("by_score")), nullptr);
-}
-
-TEST(Table, MergeMoveDrainsSource) {
-  Table a = make_table();
-  a.create_hash_index("by_id", {"id"});
-  Table b = make_table();
-  b.append(Row{Value(std::int64_t{7}), Value("m"), Value(1.0)});
-  b.append(Row{Value(std::int64_t{8}), Value("n"), Value(2.0)});
-  a.merge_move_from(b);
-  EXPECT_EQ(a.row_count(), 2u);
-  EXPECT_EQ(b.row_count(), 0u);
-  EXPECT_EQ(a.index("by_id")->lookup(Key{{Value(std::int64_t{7})}}).size(), 1u);
-  // The drained table remains usable.
-  b.append(Row{Value(std::int64_t{9}), Value("p"), Value(3.0)});
-  EXPECT_EQ(b.row_count(), 1u);
 }
 
 TEST(Table, ApproxBytesGrowsWithData) {

@@ -125,7 +125,7 @@ TEST(Value, InternedBehavesLikeOwnedString) {
   EXPECT_EQ(interned.to_string(), owned.to_string());
 
   // Mixed-representation equality, ordering, and hashing all agree — rows
-  // from interning and non-interning (staging) shredders share indexes.
+  // holding interned and owned copies of a string share index buckets.
   EXPECT_TRUE(interned == owned);
   EXPECT_FALSE(interned < owned);
   EXPECT_FALSE(owned < interned);

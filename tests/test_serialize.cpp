@@ -14,16 +14,22 @@
 namespace hxrc {
 namespace {
 
-TEST(DatabaseSerialize, RoundTripsTablesAndClobs) {
+rel::TableSchema mixed_schema() {
+  return rel::TableSchema{{"i", rel::Type::kInt},
+                          {"d", rel::Type::kDouble},
+                          {"s", rel::Type::kString}};
+}
+
+TEST(DatabaseSerialize, RoundTripsTablesClobsAndInternedValues) {
   rel::Database db;
-  rel::Table& t = db.create_table(
-      "t", rel::TableSchema{{"i", rel::Type::kInt},
-                            {"d", rel::Type::kDouble},
-                            {"s", rel::Type::kString}});
+  rel::Table& t = db.create_table("t", mixed_schema());
   t.create_hash_index("by_i", {"i"});
-  t.append(rel::Row{rel::Value(std::int64_t{1}), rel::Value(2.5),
-                    rel::Value("hello world")});
+  static const std::string kInterned = "shared-model-name";
+  t.append(rel::Row{rel::Value(std::int64_t{-7}), rel::Value(0.1),
+                    rel::Value::interned(&kInterned)});
   t.append(rel::Row{rel::Value::null(), rel::Value::null(),
+                    rel::Value(std::string("\0binary\xff\n", 9))});
+  t.append(rel::Row{rel::Value(std::int64_t{1}), rel::Value(2.5),
                     rel::Value("with\nnewline and 'quotes'")});
   db.clobs().append("<clob>payload</clob>");
   db.clobs().append(std::string("\0binary-ish\n", 12));
@@ -32,107 +38,89 @@ TEST(DatabaseSerialize, RoundTripsTablesAndClobs) {
   rel::save_database(db, stream);
 
   rel::Database loaded;
-  rel::Table& lt = loaded.create_table(
-      "t", rel::TableSchema{{"i", rel::Type::kInt},
-                            {"d", rel::Type::kDouble},
-                            {"s", rel::Type::kString}});
+  rel::Table& lt = loaded.create_table("t", mixed_schema());
   lt.create_hash_index("by_i", {"i"});
   rel::load_database_into(loaded, stream);
 
-  ASSERT_EQ(lt.row_count(), 2u);
-  EXPECT_EQ(lt.row(0)[0].as_int(), 1);
-  EXPECT_DOUBLE_EQ(lt.row(0)[1].as_double(), 2.5);
-  EXPECT_EQ(lt.row(0)[2].as_string(), "hello world");
+  ASSERT_EQ(lt.row_count(), 3u);
+  EXPECT_EQ(lt.row(0)[0].as_int(), -7);
+  // Bit-exact doubles.
+  EXPECT_EQ(lt.row(0)[1].as_double(), 0.1);
+  // Interned values serialize by content and come back as owned strings.
+  EXPECT_EQ(lt.row(0)[2].as_string(), kInterned);
+  EXPECT_FALSE(lt.row(0)[2].is_interned());
   EXPECT_TRUE(lt.row(1)[0].is_null());
-  EXPECT_EQ(lt.row(1)[2].as_string(), "with\nnewline and 'quotes'");
+  EXPECT_TRUE(lt.row(1)[1].is_null());
+  EXPECT_EQ(lt.row(1)[2].as_string(), std::string("\0binary\xff\n", 9));
+  EXPECT_EQ(lt.row(2)[2].as_string(), "with\nnewline and 'quotes'");
   // Index was rebuilt on load.
-  EXPECT_EQ(lt.index("by_i")->lookup(rel::Key{{rel::Value(std::int64_t{1})}}).size(), 1u);
+  EXPECT_EQ(lt.index("by_i")->lookup(rel::Key{{rel::Value(std::int64_t{-7})}}).size(), 1u);
   ASSERT_EQ(loaded.clobs().count(), 2u);
   EXPECT_EQ(loaded.clobs().get(0), "<clob>payload</clob>");
   EXPECT_EQ(loaded.clobs().get(1), std::string("\0binary-ish\n", 12));
 }
 
-TEST(DatabaseSerialize, LoadClearsExistingRows) {
+TEST(DatabaseSerialize, LoadClearsExistingRowsAndClobs) {
   rel::Database db;
   db.create_table("t", rel::TableSchema{{"x", rel::Type::kInt}});
   std::stringstream stream;
-  rel::save_database(db, stream);  // empty table
+  rel::save_database(db, stream);  // empty table, no CLOBs
 
   rel::Database target;
   rel::Table& t = target.create_table("t", rel::TableSchema{{"x", rel::Type::kInt}});
+  rel::Table& absent = target.create_table("absent", rel::TableSchema{{"y", rel::Type::kInt}});
   t.append(rel::Row{rel::Value(std::int64_t{9})});
+  absent.append(rel::Row{rel::Value(std::int64_t{3})});
+  target.clobs().append("stale");
   rel::load_database_into(target, stream);
   EXPECT_EQ(t.row_count(), 0u);
+  // A table the stream does not carry is truncated too.
+  EXPECT_EQ(absent.row_count(), 0u);
+  EXPECT_EQ(target.clobs().count(), 0u);
 }
 
-TEST(DatabaseSerialize, RejectsGarbage) {
-  rel::Database db;
-  std::stringstream bad("NOTADB 1\n");
-  EXPECT_THROW(rel::load_database_into(db, bad), rel::SerializeError);
-  std::stringstream truncated("HXRCDB 1\nclobs 2\n3 abc\n");
-  EXPECT_THROW(rel::load_database_into(db, truncated), rel::SerializeError);
-  std::stringstream unknown_table("HXRCDB 1\nclobs 0\ntable 1 z 1 0\nend\n");
-  EXPECT_THROW(rel::load_database_into(db, unknown_table), rel::SerializeError);
-}
-
-TEST(DatabaseSerializeBinary, RoundTripsTablesClobsAndInternedValues) {
-  rel::Database db;
-  rel::Table& t = db.create_table(
-      "t", rel::TableSchema{{"i", rel::Type::kInt},
-                            {"d", rel::Type::kDouble},
-                            {"s", rel::Type::kString}});
-  t.create_hash_index("by_i", {"i"});
-  static const std::string kInterned = "shared-model-name";
-  t.append(rel::Row{rel::Value(std::int64_t{-7}), rel::Value(0.1),
-                    rel::Value::interned(&kInterned)});
-  t.append(rel::Row{rel::Value::null(), rel::Value::null(),
-                    rel::Value(std::string("\0binary\xff\n", 9))});
-  db.clobs().append("<clob>payload</clob>");
-
-  std::stringstream stream;
-  rel::save_database_binary(db, stream);
-
-  rel::Database loaded;
-  rel::Table& lt = loaded.create_table(
-      "t", rel::TableSchema{{"i", rel::Type::kInt},
-                            {"d", rel::Type::kDouble},
-                            {"s", rel::Type::kString}});
-  lt.create_hash_index("by_i", {"i"});
-  rel::load_database_into_binary(loaded, stream);
-
-  ASSERT_EQ(lt.row_count(), 2u);
-  EXPECT_EQ(lt.row(0)[0].as_int(), -7);
-  // Bit-exact doubles (the text format only guarantees shortest round-trip).
-  EXPECT_EQ(lt.row(0)[1].as_double(), 0.1);
-  // Interned values serialize by content and come back as owned strings.
-  EXPECT_EQ(lt.row(0)[2].as_string(), kInterned);
-  EXPECT_FALSE(lt.row(0)[2].is_interned());
-  EXPECT_EQ(lt.row(1)[2].as_string(), std::string("\0binary\xff\n", 9));
-  EXPECT_EQ(lt.index("by_i")->lookup(rel::Key{{rel::Value(std::int64_t{-7})}}).size(), 1u);
-  ASSERT_EQ(loaded.clobs().count(), 1u);
-  EXPECT_EQ(loaded.clobs().get(0), "<clob>payload</clob>");
-}
-
-TEST(DatabaseSerializeBinary, ToleratesLeadingWhitespaceAndRejectsCorruption) {
+TEST(DatabaseSerialize, ToleratesLeadingWhitespace) {
   rel::Database db;
   db.create_table("t", rel::TableSchema{{"x", rel::Type::kInt}});
   std::stringstream stream;
-  stream << "\n";  // the seam a text header leaves in a mixed stream
-  rel::save_database_binary(db, stream);
+  stream << "\n";  // the seam the catalog stream's text header leaves
+  rel::save_database(db, stream);
 
   rel::Database target;
   target.create_table("t", rel::TableSchema{{"x", rel::Type::kInt}});
-  rel::load_database_into_binary(target, stream);  // must skip the newline
+  EXPECT_NO_THROW(rel::load_database_into(target, stream));
+}
 
+TEST(DatabaseSerialize, RejectsBadMagicUnknownTableArityMismatchAndTruncation) {
+  rel::Database db;
+  rel::Table& t = db.create_table("t", rel::TableSchema{{"x", rel::Type::kInt}});
+  t.append(rel::Row{rel::Value(std::int64_t{1})});
+  std::stringstream saved;
+  rel::save_database(db, saved);
+  const std::string bytes = saved.str();
+
+  rel::Database same;
+  same.create_table("t", rel::TableSchema{{"x", rel::Type::kInt}});
   std::stringstream bad("XXXXXXXX");
-  EXPECT_THROW(rel::load_database_into_binary(target, bad), rel::SerializeError);
+  EXPECT_THROW(rel::load_database_into(same, bad), rel::SerializeError);
 
-  // Truncated mid-stream: error, never a partial load that looks complete.
-  std::stringstream full;
-  rel::save_database_binary(db, full);
-  const std::string bytes = full.str();
-  std::stringstream cut(bytes.substr(0, bytes.size() - 4));
-  EXPECT_THROW(rel::load_database_into_binary(target, cut), rel::SerializeError);
+  rel::Database missing;
+  missing.create_table("u", rel::TableSchema{{"x", rel::Type::kInt}});
+  std::stringstream unknown_table(bytes);
+  EXPECT_THROW(rel::load_database_into(missing, unknown_table), rel::SerializeError);
+
+  rel::Database wider;
+  wider.create_table("t", rel::TableSchema{{"x", rel::Type::kInt}, {"y", rel::Type::kInt}});
+  std::stringstream arity(bytes);
+  EXPECT_THROW(rel::load_database_into(wider, arity), rel::SerializeError);
+
+  // Truncated at every length short of the full stream: an error, never a
+  // partial load that looks complete.
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    std::stringstream truncated(bytes.substr(0, cut));
+    EXPECT_THROW(rel::load_database_into(same, truncated), rel::SerializeError)
+        << "cut at " << cut;
+  }
 }
 
 core::CatalogConfig auto_define_config() {
@@ -226,6 +214,26 @@ TEST(CatalogPersistence, RestoreRequiresFreshCatalogAndMatchingSchema) {
                               auto_define_config());
   dirty.ingest_xml(workload::fig3_document(), "other", "bob");
   EXPECT_THROW(dirty.restore(stream), core::ValidationError);
+}
+
+TEST(CatalogPersistence, RestoreRejectsTextFormatHeader) {
+  xml::Schema schema = workload::lead_schema();
+  core::MetadataCatalog original(schema, workload::lead_annotations(),
+                                 auto_define_config());
+  original.ingest_xml(workload::fig3_document(), "fig3", "alice");
+  std::stringstream saved;
+  original.save(saved);
+  std::string bytes = saved.str();
+  ASSERT_EQ(bytes.rfind("HXRCCAT 2\n", 0), 0u);
+  bytes[8] = '1';  // the retired text format's header
+
+  xml::Schema schema2 = workload::lead_schema();
+  core::MetadataCatalog restored(schema2, workload::lead_annotations(),
+                                 auto_define_config());
+  std::stringstream version_one(bytes);
+  EXPECT_THROW(restored.restore(version_one), core::ValidationError);
+  // The rejected streams left the catalog untouched.
+  EXPECT_EQ(restored.object_count(), 0u);
 }
 
 }  // namespace

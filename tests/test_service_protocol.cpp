@@ -394,6 +394,64 @@ TEST(DispatcherProtocol, TimeoutCodeWithoutTouchingTheCatalog) {
   EXPECT_EQ(metrics.at(static_cast<std::size_t>(slot)).timeouts.load(), 1u);
 }
 
+TEST(DispatcherProtocol, TimeoutHonoursAnyLegalSpellingOfTheAttribute) {
+  static xml::Schema schema = workload::lead_schema();
+  MetadataCatalog catalog(schema, workload::lead_annotations(), auto_define_config());
+  ServiceDispatcher dispatcher(catalog);
+
+  for (const std::string root :
+       {"<catalogRequest type='ingest' timeoutMs='0'>",
+        "<catalogRequest type=\"ingest\" timeoutMs = '0' >",
+        "<catalogRequest user=\"a>b\" type=\"ingest\" timeoutMs=\"0\">"}) {
+    const xml::Document doc = xml::parse(
+        dispatcher.call(root + workload::fig3_document() + "</catalogRequest>"));
+    const std::string_view* code = doc.root->attribute("code");
+    EXPECT_EQ(code == nullptr ? "" : *code, "timeout") << root;
+  }
+  EXPECT_EQ(catalog.object_count(), 0u);
+}
+
+TEST(DispatcherProtocol, QuotedAngleBracketDoesNotHideTypeFromTheCacheProbe) {
+  static xml::Schema schema = workload::lead_schema();
+  MetadataCatalog catalog(schema, workload::lead_annotations(), auto_define_config());
+  ServiceDispatcher dispatcher(catalog);
+  dispatcher.call("<catalogRequest type=\"ingest\">" + workload::fig3_document() +
+                  "</catalogRequest>");
+
+  std::string request = query_to_xml(workload::paper_example_query());
+  ASSERT_EQ(request.find("user="), std::string::npos);
+  request.insert(std::string("<catalogRequest").size(), " user=\"a>b\"");
+  const std::string cold = dispatcher.call(request);
+  ASSERT_EQ(*xml::parse(cold).root->attribute("status"), "ok") << cold;
+  const std::uint64_t bypass_before = catalog.cache_metrics().bypass.load();
+  const std::uint64_t hits_before = catalog.cache_metrics().l2.hits.load();
+  EXPECT_EQ(dispatcher.call(request), cold);
+  EXPECT_GT(catalog.cache_metrics().l2.hits.load(), hits_before);
+  EXPECT_EQ(catalog.cache_metrics().bypass.load(), bypass_before);
+}
+
+TEST(RootTagScan, MatchesWholeNamesOutsideQuotedValues) {
+  const std::string_view tag =
+      "<catalogRequest note='x type=\"no\"' xtype=\"no\" type = \"query\">"
+      "<child type=\"inner\"/></catalogRequest>";
+  const RootTagScan scan = scan_root_tag(tag, "type");
+  EXPECT_EQ(scan.value, "query");
+  EXPECT_EQ(tag.substr(scan.value_pos, 5), "query");
+  EXPECT_EQ(tag.substr(0, scan.end).back(), '>');
+  EXPECT_EQ(tag.substr(scan.end, 6), "<child");
+
+  EXPECT_EQ(scan_root_tag(tag, "missing").value_pos, std::string_view::npos);
+  EXPECT_EQ(scan_root_tag("<r a='unterminated>", "a").end, std::string_view::npos);
+  EXPECT_EQ(scan_root_tag("<r a='unterminated>", "a").value_pos, std::string_view::npos);
+
+  // peek_request_attr decodes entities exactly as the XML parser does.
+  EXPECT_EQ(peek_request_attr("<r name='a&amp;b&#x3e;' type=\"&#105;ngest\"/>", "name"),
+            "a&b>");
+  EXPECT_EQ(peek_request_type("<r name='a&amp;b' type=\"&#105;ngest\"/>"), "ingest");
+  EXPECT_EQ(peek_request_type("<r type='query'/>"), "query");
+  EXPECT_EQ(peek_timeout_ms("<r timeoutMs='25'/>"), 25);
+}
+
 TEST(DispatcherProtocol, OverloadedCodeWhenAdmissionQueueIsFull) {
   static xml::Schema schema = workload::lead_schema();
   MetadataCatalog catalog(schema, workload::lead_annotations(), auto_define_config());

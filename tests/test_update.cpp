@@ -6,8 +6,7 @@
 #include "core/catalog.hpp"
 #include "workload/lead_schema.hpp"
 #include "workload/query_gen.hpp"
-#include "xml/canonical.hpp"
-#include "xml/parser.hpp"
+#include "xml/matcher.hpp"
 
 namespace hxrc::core {
 namespace {
@@ -95,34 +94,6 @@ TEST_F(UpdateTest, RejectsBadPathsAndMismatchedContent) {
   EXPECT_THROW(
       catalog_.add_attribute_xml(id_, "data/idinfo/keywords/theme", "<place/>"),
       ValidationError);
-}
-
-TEST_F(UpdateTest, SequencesContinueAfterParallelIngest) {
-  // Objects ingested in parallel must keep correct sequences for later
-  // inserts (the catalog absorbs the staging shredders' counters).
-  xml::Schema schema = workload::lead_schema();
-  MetadataCatalog catalog(schema, workload::lead_annotations());
-  catalog.define_dynamic_attribute("grid", "ARPS",
-                                   {{"dx", xml::LeafType::kDouble, ""},
-                                    {"dz", xml::LeafType::kDouble, ""}});
-  const AttrDefId grid = catalog.registry().find_attribute("grid", "ARPS", kNoAttr)->id;
-  catalog.define_dynamic_sub_attribute(grid, "grid-stretching", "ARPS",
-                                       {{"dzmin", xml::LeafType::kDouble, ""},
-                                        {"reference-height", xml::LeafType::kDouble, ""}});
-
-  util::ThreadPool pool(2);
-  std::vector<xml::Document> docs;
-  docs.push_back(xml::parse(workload::fig3_document()));
-  docs.push_back(xml::parse(workload::fig3_document()));
-  const auto ids = catalog.ingest_parallel(pool, docs, "alice");
-
-  catalog.add_attribute_xml(
-      ids[0], "data/idinfo/keywords/theme",
-      "<theme><themekt>CF NetCDF</themekt><themekey>air_temperature</themekey></theme>");
-  const xml::Document doc = catalog.fetch(ids[0]);
-  const auto themes = xml::select(*doc.root, "data/idinfo/keywords/theme");
-  ASSERT_EQ(themes.size(), 3u);
-  EXPECT_EQ(themes[2]->child_text("themekey"), "air_temperature");
 }
 
 TEST_F(UpdateTest, RoundTripAfterManyInserts) {
