@@ -5,66 +5,17 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
 #include <string>
-#include <utility>
 
 #include "fed/ship_wire.hpp"
-#include "net/frame.hpp"
+#include "net/client.hpp"
 #include "storage/recovery.hpp"
 #include "storage/snapshot.hpp"
 
 namespace hxrc::fed {
 
 using storage::WalError;
-
-namespace {
-
-void write_ship_frame(int fd, std::string_view payload) {
-  std::string wire;
-  net::append_frame(wire, net::FrameType::kWalShip, 0, payload);
-  std::size_t sent = 0;
-  while (sent < wire.size()) {
-    // MSG_NOSIGNAL: a vanished shipper must surface as EPIPE, not SIGPIPE.
-    const ssize_t n =
-        ::send(fd, wire.data() + sent, wire.size() - sent, MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    throw net::SocketError(std::string("replication send: ") + std::strerror(errno));
-  }
-}
-
-net::Frame read_ship_frame(int fd, std::string& inbuf, std::size_t max_payload) {
-  for (;;) {
-    net::DecodeResult result = net::decode_frame(inbuf, max_payload);
-    if (result.status == net::DecodeStatus::kFrame) {
-      inbuf.erase(0, result.consumed);
-      if (result.frame.type != net::FrameType::kWalShip) {
-        throw net::SocketError("non-replication frame on the replication port");
-      }
-      return std::move(result.frame);
-    }
-    if (result.status != net::DecodeStatus::kNeedMore) {
-      throw net::SocketError("malformed replication frame");
-    }
-    char buffer[64 * 1024];
-    const ssize_t n = ::read(fd, buffer, sizeof buffer);
-    if (n > 0) {
-      inbuf.append(buffer, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n == 0) throw net::SocketError("replication peer closed the connection");
-    throw net::SocketError(std::string("replication read: ") + std::strerror(errno));
-  }
-}
-
-}  // namespace
 
 ReplicationListener::ReplicationListener(core::MetadataCatalog& catalog,
                                          ReplicaOptions options)
@@ -130,10 +81,12 @@ void ReplicationListener::serve(int fd) {
           state_.records_applied.load(std::memory_order_relaxed);
       if (fresh_) hello.wal_seq = hello.applied_lsn = hello.records_applied = 0;
     }
-    write_ship_frame(fd, encode_hello(hello));
+    net::write_frame(fd, net::FrameType::kWalShip, 0, encode_hello(hello));
     for (;;) {
-      const net::Frame frame =
-          read_ship_frame(fd, inbuf, options_.max_frame_payload);
+      const net::Frame frame = net::read_frame(fd, inbuf, options_.max_frame_payload);
+      if (frame.type != net::FrameType::kWalShip) {
+        throw net::SocketError("non-replication frame on the replication port");
+      }
       switch (peek_ship_msg(frame.payload)) {
         case ShipMsg::kBootstrap:
           handle_bootstrap(frame.payload);
@@ -141,7 +94,7 @@ void ReplicationListener::serve(int fd) {
         case ShipMsg::kChunk: {
           AckMsg ack;
           ack.applied_lsn = handle_chunk(frame.payload);
-          write_ship_frame(fd, encode_ack(ack));
+          net::write_frame(fd, net::FrameType::kWalShip, 0, encode_ack(ack));
           break;
         }
         default:

@@ -13,8 +13,6 @@ namespace {
 void write_all(int fd, std::string_view bytes) {
   std::size_t sent = 0;
   while (sent < bytes.size()) {
-    // MSG_NOSIGNAL: a server that closed the connection must raise EPIPE,
-    // not kill the client process with SIGPIPE.
     const ssize_t n =
         ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
     if (n > 0) {
@@ -33,6 +31,46 @@ void write_all(int fd, std::string_view bytes) {
 
 }  // namespace
 
+Frame read_frame(int fd, std::string& inbuf, std::size_t max_payload) {
+  for (;;) {
+    DecodeResult result = decode_frame(inbuf, max_payload);
+    if (result.status == DecodeStatus::kFrame) {
+      inbuf.erase(0, result.consumed);
+      return std::move(result.frame);
+    }
+    if (result.status == DecodeStatus::kTooLarge) {
+      throw SocketError("oversized frame from peer (payload exceeds " +
+                        std::to_string(max_payload) + " bytes)");
+    }
+    if (result.status != DecodeStatus::kNeedMore) {
+      throw SocketError("malformed frame from peer");
+    }
+    char buffer[64 * 1024];
+    const ssize_t n = ::read(fd, buffer, sizeof(buffer));
+    if (n > 0) {
+      inbuf.append(buffer, static_cast<std::size_t>(n));
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n == 0) {
+      throw SocketError(inbuf.empty()
+                            ? "connection closed by peer"
+                            : "connection closed by peer mid-frame (" +
+                                  std::to_string(inbuf.size()) + " bytes buffered)");
+    }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+      throw SocketError("read timed out waiting for a frame");
+    }
+    throw SocketError(std::string("read: ") + std::strerror(errno));
+  }
+}
+
+void write_frame(int fd, FrameType type, std::uint32_t request_id, std::string_view payload) {
+  std::string wire;
+  append_frame(wire, type, request_id, payload);
+  write_all(fd, wire);
+}
+
 BlockingClient::BlockingClient(const std::string& host, std::uint16_t port)
     : sock_(connect_tcp(host, port)) {
   set_nodelay(sock_.fd());
@@ -46,48 +84,14 @@ std::uint32_t BlockingClient::send_request(std::string_view body) {
 
 void BlockingClient::send_frame(FrameType type, std::uint32_t request_id,
                                 std::string_view body) {
-  std::string wire;
-  append_frame(wire, type, request_id, body);
-  write_all(sock_.fd(), wire);
+  write_frame(sock_.fd(), type, request_id, body);
 }
 
 void BlockingClient::send_raw(std::string_view bytes) {
   write_all(sock_.fd(), bytes);
 }
 
-Frame BlockingClient::recv_frame() {
-  for (;;) {
-    DecodeResult result = decode_frame(inbuf_, max_payload_);
-    if (result.status == DecodeStatus::kFrame) {
-      inbuf_.erase(0, result.consumed);
-      return std::move(result.frame);
-    }
-    if (result.status == DecodeStatus::kTooLarge) {
-      throw SocketError("oversized frame from server (payload exceeds " +
-                        std::to_string(max_payload_) + " bytes)");
-    }
-    if (result.status != DecodeStatus::kNeedMore) {
-      throw SocketError("malformed frame from server");
-    }
-    char buffer[16 * 1024];
-    const ssize_t n = ::read(sock_.fd(), buffer, sizeof(buffer));
-    if (n > 0) {
-      inbuf_.append(buffer, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n == 0) {
-      throw SocketError(inbuf_.empty()
-                            ? "connection closed by server"
-                            : "connection closed by server mid-frame (" +
-                                  std::to_string(inbuf_.size()) + " bytes buffered)");
-    }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      throw SocketError("read timed out waiting for a frame");
-    }
-    throw SocketError(std::string("read: ") + std::strerror(errno));
-  }
-}
+Frame BlockingClient::recv_frame() { return read_frame(sock_.fd(), inbuf_, max_payload_); }
 
 std::string BlockingClient::call(std::string_view body) {
   const std::uint32_t id = send_request(body);

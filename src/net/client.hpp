@@ -16,6 +16,16 @@
 
 namespace hxrc::net {
 
+/// Blocking frame I/O shared by BlockingClient and the replication
+/// listener. read_frame returns one complete frame from `fd`, keeping
+/// surplus bytes in `inbuf` for the next call; write_frame frames `payload`
+/// and writes it whole with MSG_NOSIGNAL, so a vanished peer raises EPIPE
+/// instead of SIGPIPE. Both throw SocketError on every failure: EOF, read
+/// timeout, I/O error, a malformed header, or a payload above
+/// `max_payload` (detected from the header, before the payload is read).
+Frame read_frame(int fd, std::string& inbuf, std::size_t max_payload);
+void write_frame(int fd, FrameType type, std::uint32_t request_id, std::string_view payload);
+
 class BlockingClient {
  public:
   /// Largest response payload accepted by default. A peer announcing a

@@ -86,8 +86,6 @@ class ClobStore {
     cache_capacity_ = cache_segments > 0 ? cache_segments : 1;
   }
 
-  bool paging_enabled() const noexcept { return pager_ != nullptr; }
-
   /// Defers freeing of sealed entries' resident strings so concurrent MVCC
   /// readers holding the pointer stay safe. Without one, sealing frees
   /// immediately (single-threaded use).

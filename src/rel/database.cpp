@@ -70,11 +70,7 @@ ResultSet Database::execute(std::string_view sql_text) {
 
   if (const auto* create_index = std::get_if<sql::CreateIndexStmt>(&stmt)) {
     Table& t = require_table(create_index->table_name);
-    if (create_index->ordered) {
-      t.create_ordered_index(create_index->index_name, create_index->columns);
-    } else {
-      t.create_hash_index(create_index->index_name, create_index->columns);
-    }
+    t.create_hash_index(create_index->index_name, create_index->columns);
     return ResultSet{};
   }
 

@@ -40,11 +40,6 @@ class ReadView {
     return index.bucket_size_at(key, visible_rows(table));
   }
 
-  void range_into(const Table& table, const OrderedIndex& index, const Key& lo,
-                  const Key& hi, std::vector<RowId>& out) const {
-    index.range_into_at(lo, hi, visible_rows(table), out);
-  }
-
  private:
   std::vector<std::size_t> watermarks_;
 };

@@ -2,7 +2,7 @@
 //
 // The engine speaks the slice of SQL a metadata catalog needs:
 //   CREATE TABLE t (col TYPE, ...)
-//   CREATE [ORDERED] INDEX name ON t (cols)
+//   CREATE INDEX name ON t (cols)  (a hash index: equality probes only)
 //   INSERT INTO t [(cols)] VALUES (...), (...)
 //   SELECT items FROM t [alias] [JOIN u [alias] ON cond]... [WHERE cond]
 //     [GROUP BY cols] [HAVING cond] [ORDER BY items [ASC|DESC]] [LIMIT n]
@@ -104,7 +104,6 @@ struct CreateIndexStmt {
   std::string index_name;
   std::string table_name;
   std::vector<std::string> columns;
-  bool ordered = false;
 };
 
 struct InsertStmt {

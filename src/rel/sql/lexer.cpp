@@ -15,7 +15,7 @@ const std::unordered_set<std::string>& keywords() {
       "LIMIT",  "JOIN",  "LEFT",   "OUTER",  "INNER",  "ON",     "AS",
       "AND",    "OR",    "NOT",    "IS",     "NULL",   "ASC",    "DESC",
       "LIKE",   "IN",
-      "CREATE", "TABLE", "INDEX",  "ORDERED", "INSERT", "INTO",  "VALUES",
+      "CREATE", "TABLE", "INDEX",  "INSERT", "INTO",   "VALUES",
       "COUNT",  "SUM",   "MIN",    "MAX",    "DISTINCT", "INT",  "DOUBLE",
       "STRING", "TEXT",  "BIGINT", "VARCHAR",
   };

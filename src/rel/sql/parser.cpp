@@ -446,10 +446,8 @@ class Parser {
       expect_punct(")");
       return stmt;
     }
-    const bool ordered = consume_keyword("ORDERED");
     expect_keyword("INDEX");
     CreateIndexStmt stmt;
-    stmt.ordered = ordered;
     stmt.index_name = expect_ident();
     expect_keyword("ON");
     stmt.table_name = expect_ident();

@@ -49,41 +49,25 @@ void Table::truncate() {
   // Requires quiescence: rows and index generations are freed in place.
   rows_.clear();
   // Rebuild empty indexes with the same definitions.
-  std::vector<std::unique_ptr<Index>> rebuilt;
-  rebuilt.reserve(indexes_.size());
-  for (const auto& old : indexes_) {
-    rebuilt.push_back(old->make_empty());
-    rebuilt.back()->attach(rows_);
-    rebuilt.back()->set_reclaimer(reclaimer_);
-  }
-  indexes_ = std::move(rebuilt);
+  const std::vector<std::unique_ptr<Index>> old = std::move(indexes_);
+  indexes_.clear();
+  for (const auto& index : old) add_index(index->name(), index->key_columns());
 }
 
-template <typename IndexT>
-const IndexT* Table::create_index(const std::string& index_name,
-                                  const std::vector<std::string>& column_names) {
+const Index* Table::add_index(std::string index_name, std::vector<std::size_t> key_columns) {
+  auto index = std::make_unique<Index>(std::move(index_name), std::move(key_columns), rows_);
+  index->set_reclaimer(reclaimer_);
+  return indexes_.emplace_back(std::move(index)).get();
+}
+
+const Index* Table::create_hash_index(const std::string& index_name,
+                                      const std::vector<std::string>& column_names) {
   std::vector<std::size_t> key_columns;
   key_columns.reserve(column_names.size());
   for (const auto& column : column_names) {
     key_columns.push_back(schema_.require(column));
   }
-  auto index = std::make_unique<IndexT>(index_name, std::move(key_columns));
-  // Existing rows are picked up by the first probe's catch-up pass.
-  index->attach(rows_);
-  index->set_reclaimer(reclaimer_);
-  const IndexT* raw = index.get();
-  indexes_.push_back(std::move(index));
-  return raw;
-}
-
-const HashIndex* Table::create_hash_index(const std::string& index_name,
-                                          const std::vector<std::string>& column_names) {
-  return create_index<HashIndex>(index_name, column_names);
-}
-
-const OrderedIndex* Table::create_ordered_index(
-    const std::string& index_name, const std::vector<std::string>& column_names) {
-  return create_index<OrderedIndex>(index_name, column_names);
+  return add_index(index_name, std::move(key_columns));
 }
 
 const Index* Table::index(std::string_view index_name) const noexcept {

@@ -81,15 +81,13 @@ class Table {
 
   /// Creates an index over the named columns; returns a stable pointer.
   /// Existing rows are picked up lazily by the first probe.
-  const HashIndex* create_hash_index(const std::string& index_name,
-                                     const std::vector<std::string>& column_names);
-  const OrderedIndex* create_ordered_index(const std::string& index_name,
-                                           const std::vector<std::string>& column_names);
+  const Index* create_hash_index(const std::string& index_name,
+                                 const std::vector<std::string>& column_names);
 
   /// Index by name; nullptr when absent.
   const Index* index(std::string_view index_name) const noexcept;
 
-  /// First index (of any kind) whose key columns are exactly `columns`
+  /// First index whose key columns are exactly `columns`
   /// (ordered); nullptr when none exists.
   const Index* index_on(const std::vector<std::size_t>& columns) const noexcept;
 
@@ -103,9 +101,8 @@ class Table {
 
  private:
   void validate(const Row& row) const;
-  template <typename IndexT>
-  const IndexT* create_index(const std::string& index_name,
-                             const std::vector<std::string>& column_names);
+  /// Installs an empty index over this table's rows.
+  const Index* add_index(std::string index_name, std::vector<std::size_t> key_columns);
 
   std::string name_;
   TableSchema schema_;

@@ -80,7 +80,7 @@ class Value {
   /// Human-readable rendering (NULL prints as "NULL").
   std::string to_string() const;
 
-  /// Total ordering for sorting and ordered indexes:
+  /// Total ordering for sorting (ORDER BY, MIN/MAX):
   /// NULL < numerics (compared as doubles) < strings.
   /// Returns <0, 0, >0.
   int compare(const Value& other) const noexcept;
@@ -118,14 +118,6 @@ struct Key {
       if (!(a.parts[i] == b.parts[i])) return false;
     }
     return true;
-  }
-  friend bool operator<(const Key& a, const Key& b) noexcept {
-    const std::size_t n = std::min(a.parts.size(), b.parts.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      const int c = a.parts[i].compare(b.parts[i]);
-      if (c != 0) return c < 0;
-    }
-    return a.parts.size() < b.parts.size();
   }
 };
 

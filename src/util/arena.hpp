@@ -38,7 +38,6 @@ class Arena {
     }
     char* out = current_ + offset;
     used_ = offset + size;
-    allocated_ += size;
     return out;
   }
 
@@ -56,12 +55,9 @@ class Arena {
     current_ = nullptr;
     capacity_ = 0;
     used_ = 0;
-    allocated_ = 0;
     reserved_ = 0;
   }
 
-  /// Payload bytes handed out (excludes alignment waste and block slack).
-  std::size_t bytes_allocated() const noexcept { return allocated_; }
   /// Total block bytes reserved from the heap.
   std::size_t bytes_reserved() const noexcept { return reserved_; }
 
@@ -82,7 +78,6 @@ class Arena {
   std::size_t capacity_ = 0;
   std::size_t used_ = 0;
   std::size_t next_block_bytes_;
-  std::size_t allocated_ = 0;
   std::size_t reserved_ = 0;
 };
 

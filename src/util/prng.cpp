@@ -47,10 +47,6 @@ double Prng::uniform01() noexcept {
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
-double Prng::uniform_real(double lo, double hi) noexcept {
-  return lo + (hi - lo) * uniform01();
-}
-
 bool Prng::chance(double p) noexcept {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;

@@ -38,9 +38,6 @@ class Prng {
   /// Uniform double in [0, 1).
   double uniform01() noexcept;
 
-  /// Uniform double in [lo, hi).
-  double uniform_real(double lo, double hi) noexcept;
-
   /// Bernoulli trial with probability p of returning true.
   bool chance(double p) noexcept;
 

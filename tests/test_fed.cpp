@@ -51,6 +51,19 @@ bool wait_until(Pred pred, std::chrono::milliseconds timeout = 5000ms) {
   return true;
 }
 
+/// What readers of `catalog` see: the object count and epoch of its
+/// published snapshot. object_count() and version() are bumped before a
+/// commit publishes, so a wait on them can end while a fetch still reads
+/// the previous snapshot.
+struct Published {
+  std::size_t objects;
+  std::uint64_t epoch;
+};
+Published published(const core::MetadataCatalog& catalog) {
+  const auto guard = catalog.read_guard();
+  return {static_cast<std::size_t>(guard->next_object), guard.epoch()};
+}
+
 std::string status_of(const std::string& response_xml) {
   return std::string(*xml::parse(response_xml).root->attribute("status"));
 }
@@ -424,14 +437,14 @@ TEST(Replication, BootstrapFileCatchUpThenLiveStream) {
     ReplicaProcess replica;
     WalShipper shipper(*primary.durable, ship_to(replica));
     shipper.start();
-    ASSERT_TRUE(wait_until([&] { return replica.catalog.object_count() == 3; }));
+    ASSERT_TRUE(wait_until([&] { return published(replica.catalog).objects == 3; }));
 
     // Mutations after attach ride the live stream.
     for (int i = 0; i < 2; ++i) primary.ingest("live-" + std::to_string(i));
     primary.durable->flush();
     ASSERT_TRUE(wait_until([&] {
-      return replica.catalog.object_count() == 5 &&
-             replica.catalog.version() == primary.catalog.version();
+      const Published seen = published(replica.catalog);
+      return seen.objects == 5 && seen.epoch == published(primary.catalog).epoch;
     }));
     EXPECT_TRUE(wait_until([&] { return shipper.acked_lsn() > 0; }));
     EXPECT_EQ(replica.listener.state().bootstraps.load(), 1u);
@@ -463,7 +476,7 @@ TEST(Replication, CheckpointRotationAdoptedMidStream) {
     primary.ingest("a");
     primary.ingest("b");
     primary.durable->flush();
-    ASSERT_TRUE(wait_until([&] { return replica.catalog.object_count() == 2; }));
+    ASSERT_TRUE(wait_until([&] { return published(replica.catalog).objects == 2; }));
 
     // Checkpoint rotates the WAL; the replica must adopt the new sequence
     // as a clean +1 rotation and keep applying.
@@ -471,12 +484,12 @@ TEST(Replication, CheckpointRotationAdoptedMidStream) {
     primary.ingest("c");
     primary.durable->flush();
     ASSERT_TRUE(wait_until([&] {
-      return replica.catalog.object_count() == 3 &&
+      const Published seen = published(replica.catalog);
+      return seen.objects == 3 && seen.epoch == published(primary.catalog).epoch &&
              replica.listener.state().wal_seq.load() == primary.durable->wal_seq();
     }));
     // Connect-time bootstrap + the rotation.
     EXPECT_EQ(replica.listener.state().bootstraps.load(), 2u);
-    EXPECT_EQ(replica.catalog.version(), primary.catalog.version());
 
     shipper.stop();
     replica.listener.stop();
@@ -496,7 +509,7 @@ TEST(Replication, ReconnectCatchesUpFromTheFileAndDedupes) {
       primary.ingest("a");
       primary.ingest("b");
       primary.durable->flush();
-      ASSERT_TRUE(wait_until([&] { return replica.catalog.object_count() == 2; }));
+      ASSERT_TRUE(wait_until([&] { return published(replica.catalog).objects == 2; }));
       shipper.stop();
     }
 
@@ -509,8 +522,8 @@ TEST(Replication, ReconnectCatchesUpFromTheFileAndDedupes) {
     WalShipper shipper(*primary.durable, ship_to(replica));
     shipper.start();
     ASSERT_TRUE(wait_until([&] {
-      return replica.catalog.object_count() == 5 &&
-             replica.catalog.version() == primary.catalog.version();
+      const Published seen = published(replica.catalog);
+      return seen.objects == 5 && seen.epoch == published(primary.catalog).epoch;
     }));
     // The second connection found a non-fresh replica: no second bootstrap,
     // no double-applied records (connections is a live gauge — only the
@@ -939,8 +952,9 @@ TEST(Router, FailoverServesReadsFromReplicaAndStalesCursors) {
     std::sort(gids.begin(), gids.end());
     primary.durable->flush();
     ASSERT_TRUE(wait_until([&] {
-      return replica.catalog.object_count() == primary.catalog.object_count() &&
-             replica.catalog.version() == primary.catalog.version();
+      const Published seen = published(replica.catalog);
+      const Published want = published(primary.catalog);
+      return seen.objects == want.objects && seen.epoch == want.epoch;
     }));
 
     // A cursor issued while the primary serves...

@@ -63,17 +63,6 @@ TEST(Value, HashConsistentWithEquality) {
   EXPECT_EQ(Value("abc").hash(), Value("abc").hash());
 }
 
-TEST(Key, OrderingIsLexicographic) {
-  const Key a{{Value(std::int64_t{1}), Value("a")}};
-  const Key b{{Value(std::int64_t{1}), Value("b")}};
-  const Key c{{Value(std::int64_t{2})}};
-  EXPECT_TRUE(a < b);
-  EXPECT_TRUE(a < c);
-  EXPECT_FALSE(b < a);
-  const Key prefix{{Value(std::int64_t{1})}};
-  EXPECT_TRUE(prefix < a);  // shorter key sorts first on tie
-}
-
 TEST(Key, EqualityAndHash) {
   const Key a{{Value(std::int64_t{1}), Value("x")}};
   const Key b{{Value(std::int64_t{1}), Value("x")}};
