@@ -24,14 +24,24 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "util/metrics.hpp"
-#include "util/thread_pool.hpp"
 
 namespace {
 
 using namespace hxrc;
+
+/// Runs body(t) for t in [0, threads) on that many fresh threads and joins
+/// them all.
+template <typename Body>
+void run_threads(std::size_t threads, const Body& body) {
+  std::vector<std::thread> workers;
+  workers.reserve(threads);
+  for (std::size_t t = 0; t < threads; ++t) workers.emplace_back([&body, t] { body(t); });
+  for (std::thread& worker : workers) worker.join();
+}
 
 void concurrent_query_bench(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
@@ -43,12 +53,13 @@ void concurrent_query_bench(benchmark::State& state) {
   std::vector<core::ObjectQuery> queries;
   for (std::uint64_t q = 0; q < 64; ++q) queries.push_back(generator.generate(q));
 
-  util::ThreadPool pool(threads);
   std::size_t total = 0;
   for (auto _ : state) {
     std::atomic<std::size_t> hits{0};
-    util::parallel_for(pool, 0, queries.size(), [&](std::size_t i) {
-      hits.fetch_add(backend.query(queries[i]).size(), std::memory_order_relaxed);
+    run_threads(threads, [&](std::size_t t) {
+      for (std::size_t i = t; i < queries.size(); i += threads) {
+        hits.fetch_add(backend.query(queries[i]).size(), std::memory_order_relaxed);
+      }
     });
     benchmark::DoNotOptimize(hits.load());
     total += queries.size();
@@ -104,11 +115,10 @@ void closed_loop_bench(benchmark::State& state, bool with_writer) {
   // lock-free, so recording from every client adds no synchronization of
   // its own.
   util::LatencyHistogram latency;
-  util::ThreadPool pool(clients);
   std::size_t total_queries = 0;
   std::atomic<std::size_t> total_hits{0};
   for (auto _ : state) {
-    util::parallel_for(pool, 0, clients, [&](std::size_t c) {
+    run_threads(clients, [&](std::size_t c) {
       for (int i = 0; i < kQueriesPerClientPerIter; ++i) {
         const auto& q =
             queries[(c * kQueriesPerClientPerIter + static_cast<std::size_t>(i)) %

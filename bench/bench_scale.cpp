@@ -25,7 +25,6 @@
 
 #include "core/catalog.hpp"
 #include "core/storage.hpp"
-#include "rel/ops.hpp"
 #include "rel/postings.hpp"
 #include "storage/clob_pager.hpp"
 #include "util/metrics.hpp"
@@ -148,22 +147,6 @@ TierResult run_tier(const hxrc::workload::ScaleTier& tier, bool baseline) {
                static_cast<double>(matched) / (2.0 * static_cast<double>(queries.size())),
                r.query_p50_micros, r.query_p99_micros);
 
-  // Non-indexed filter path: blocked scan over elem_data's numeric column.
-  {
-    const rel::Table& elems = db.require_table(core::kElemDataTable);
-    const std::size_t col = elems.schema().require("value_num");
-    const rel::ExprPtr pred = rel::gt(rel::col(col), rel::lit(rel::Value(1e12)));
-    double best = 0;
-    for (int rep = 0; rep < 3; ++rep) {
-      std::vector<rel::RowId> out;
-      const auto s0 = Clock::now();
-      rel::scan_ids(elems, *pred, out);
-      const double rate = static_cast<double>(elems.row_count()) / seconds_since(s0);
-      best = std::max(best, rate);
-    }
-    r.block_scan_rows_per_sec = best;
-  }
-
   // Document reconstruction (the CLOB read path; cold reads page back in).
   {
     util::Prng rng(7);
@@ -206,7 +189,6 @@ void write_json(const std::string& path, const std::vector<TierResult>& results)
         << ", \"queries\": " << r.queries
         << ", \"query_p50_micros\": " << r.query_p50_micros
         << ", \"query_p99_micros\": " << r.query_p99_micros
-        << ", \"block_scan_rows_per_sec\": " << r.block_scan_rows_per_sec
         << ", \"fetch_p50_micros\": " << r.fetch_p50_micros
         << ", \"fetch_p99_micros\": " << r.fetch_p99_micros
         << (i + 1 < results.size() ? "},\n" : "}\n");

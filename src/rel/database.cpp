@@ -39,13 +39,6 @@ const Table& Database::require_table(std::string_view name) const {
   return *t;
 }
 
-bool Database::drop_table(std::string_view name) {
-  const auto it = tables_.find(name);
-  if (it == tables_.end()) return false;
-  tables_.erase(it);
-  return true;
-}
-
 std::vector<std::string> Database::table_names() const {
   std::vector<std::string> names;
   names.reserve(tables_.size());

@@ -36,8 +36,6 @@ class Database {
   Table& require_table(std::string_view name);
   const Table& require_table(std::string_view name) const;
 
-  bool drop_table(std::string_view name);
-
   std::vector<std::string> table_names() const;
 
   ClobStore& clobs() noexcept { return clobs_; }
@@ -80,10 +78,6 @@ class Database {
   void sync_indexes() const {
     for (const auto& [name, table] : tables_) table->sync_indexes();
   }
-
-  /// Slots ever assigned (one per created table, creation order); snapshot
-  /// watermark vectors are sized by it.
-  std::size_t slot_count() const noexcept { return slots_assigned_; }
 
   /// Current row counts by table slot — the watermark vector a snapshot
   /// freezes. Call with writers excluded (the commit lock).

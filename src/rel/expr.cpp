@@ -9,15 +9,11 @@ class ColumnExpr final : public Expr {
   ColumnExpr(std::size_t index, std::string name)
       : index_(index), name_(std::move(name)) {}
 
-  Kind kind() const noexcept override { return Kind::kColumn; }
-
   Value eval(const Row& row) const override { return row.at(index_); }
 
   std::string describe() const override {
     return name_.empty() ? "$" + std::to_string(index_) : name_;
   }
-
-  std::size_t index() const noexcept { return index_; }
 
  private:
   std::size_t index_;
@@ -28,7 +24,6 @@ class ConstExpr final : public Expr {
  public:
   explicit ConstExpr(Value value) : value_(std::move(value)) {}
 
-  Kind kind() const noexcept override { return Kind::kConst; }
   Value eval(const Row&) const override { return value_; }
   std::string describe() const override { return value_.to_string(); }
 
@@ -40,35 +35,6 @@ class BinaryExpr final : public Expr {
  public:
   BinaryExpr(BinOp op, ExprPtr lhs, ExprPtr rhs)
       : op_(op), lhs_(std::move(lhs)), rhs_(std::move(rhs)) {}
-
-  Kind kind() const noexcept override { return Kind::kBinary; }
-
-  std::optional<ColumnCompare> as_column_compare() const override {
-    if (op_ != BinOp::kEq && op_ != BinOp::kNe && op_ != BinOp::kLt &&
-        op_ != BinOp::kLe && op_ != BinOp::kGt && op_ != BinOp::kGe) {
-      return std::nullopt;
-    }
-    const auto decompose = [this](const Expr& column_side, const Expr& const_side,
-                                  bool flipped) -> std::optional<ColumnCompare> {
-      const auto column = column_index(column_side);
-      if (!column || const_side.kind() != Kind::kConst) return std::nullopt;
-      Value literal = const_side.eval(Row{});
-      if (literal.is_null()) return std::nullopt;  // NULL literal matches nothing
-      BinOp op = op_;
-      if (flipped) {
-        switch (op_) {
-          case BinOp::kLt: op = BinOp::kGt; break;
-          case BinOp::kLe: op = BinOp::kGe; break;
-          case BinOp::kGt: op = BinOp::kLt; break;
-          case BinOp::kGe: op = BinOp::kLe; break;
-          default: break;  // kEq / kNe are symmetric
-        }
-      }
-      return ColumnCompare{*column, op, std::move(literal)};
-    };
-    if (auto direct = decompose(*lhs_, *rhs_, false)) return direct;
-    return decompose(*rhs_, *lhs_, true);
-  }
 
   Value eval(const Row& row) const override {
     const Value a = lhs_->eval(row);
@@ -179,8 +145,6 @@ class NotExpr final : public Expr {
  public:
   explicit NotExpr(ExprPtr operand) : operand_(std::move(operand)) {}
 
-  Kind kind() const noexcept override { return Kind::kNot; }
-
   Value eval(const Row& row) const override {
     const Value v = operand_->eval(row);
     if (v.is_null()) return Value::null();
@@ -197,8 +161,6 @@ class IsNullExpr final : public Expr {
  public:
   explicit IsNullExpr(ExprPtr operand) : operand_(std::move(operand)) {}
 
-  Kind kind() const noexcept override { return Kind::kIsNull; }
-
   Value eval(const Row& row) const override {
     return Value(std::int64_t{operand_->eval(row).is_null() ? 1 : 0});
   }
@@ -213,8 +175,6 @@ class LikeExpr final : public Expr {
  public:
   LikeExpr(ExprPtr operand, std::string pattern)
       : operand_(std::move(operand)), pattern_(std::move(pattern)) {}
-
-  Kind kind() const noexcept override { return Kind::kBinary; }
 
   Value eval(const Row& row) const override {
     const Value v = operand_->eval(row);
@@ -282,11 +242,6 @@ ExprPtr conjunction(std::vector<ExprPtr> terms) {
     acc = and_(std::move(acc), std::move(terms[i]));
   }
   return acc;
-}
-
-std::optional<std::size_t> column_index(const Expr& expr) noexcept {
-  if (expr.kind() != Expr::Kind::kColumn) return std::nullopt;
-  return static_cast<const ColumnExpr&>(expr).index();
 }
 
 }  // namespace hxrc::rel

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,25 +22,9 @@ enum class BinOp {
   kAdd, kSub, kMul, kDiv,        // arithmetic
 };
 
-/// A predicate of the shape `column <cmp> constant` (either operand order,
-/// already normalised to column-on-the-left). The blocked scan kernel in
-/// rel/ops.cpp evaluates this shape without per-row Expr dispatch.
-struct ColumnCompare {
-  std::size_t column = 0;
-  BinOp op = BinOp::kEq;  // kEq..kGe only
-  Value literal;          // never NULL
-};
-
 class Expr {
  public:
-  enum class Kind { kColumn, kConst, kBinary, kNot, kIsNull };
-
   virtual ~Expr() = default;
-  virtual Kind kind() const noexcept = 0;
-
-  /// Decomposes a single column-vs-constant comparison; nullopt for every
-  /// other shape (including LIKE, which reports kBinary but is not one).
-  virtual std::optional<ColumnCompare> as_column_compare() const { return std::nullopt; }
 
   /// Evaluates against a row; NULL operands propagate (SQL semantics).
   virtual Value eval(const Row& row) const = 0;
@@ -87,9 +70,5 @@ inline ExprPtr or_(ExprPtr a, ExprPtr b) {
 
 /// Conjunction of a (possibly empty) list; empty list means "true".
 ExprPtr conjunction(std::vector<ExprPtr> terms);
-
-/// Index of the referenced column when the expression is a bare column
-/// reference; nullopt otherwise. Used by planners to detect equi-join keys.
-std::optional<std::size_t> column_index(const Expr& expr) noexcept;
 
 }  // namespace hxrc::rel

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <set>
-#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -47,240 +46,12 @@ std::string ResultSet::pretty() const {
   return out;
 }
 
-namespace {
-
-// ---- Blocked scan kernel (the non-indexed filter path at scale) ----
-//
-// A column-vs-constant comparison over millions of rows spends most of its
-// time in per-row Expr dispatch: two virtual eval() calls, a Value
-// temporary, a variant compare. The blocked kernel instead classifies a
-// block of rows into dense per-lane arrays (one pointer-chase each), then
-// runs a branchless compare over the dense lanes — a loop of independent
-// arithmetic the compiler auto-vectorizes 8-wide with SSE2/NEON (and that
-// executes branch-free even scalar). Comparison semantics are exactly
-// Value::compare under Expr::eval_bool: NULL lanes never match, int/int
-// compares exactly, mixed numerics compare as doubles, numerics order
-// before strings.
-
-enum : std::uint8_t { kLaneNull = 0, kLaneInt = 1, kLaneDouble = 2, kLaneString = 3 };
-
-struct ScanBlock {
-  static constexpr std::size_t kWidth = 64;
-  std::int64_t ints[kWidth];
-  double nums[kWidth];
-  const char* strs[kWidth];
-  std::uint32_t lens[kWidth];
-  std::uint8_t cls[kWidth];
-  std::uint8_t keep[kWidth];
-};
-
-struct BlockKernel {
-  std::size_t column = 0;
-  bool want_lt = false, want_eq = false, want_gt = false;
-  bool lit_numeric = false;
-  bool lit_int = false;
-  std::int64_t ilit = 0;
-  double dlit = 0.0;
-  std::string_view slit;
-
-  explicit BlockKernel(const ColumnCompare& cc) : column(cc.column) {
-    switch (cc.op) {
-      case BinOp::kEq: want_eq = true; break;
-      case BinOp::kNe: want_lt = want_gt = true; break;
-      case BinOp::kLt: want_lt = true; break;
-      case BinOp::kLe: want_lt = want_eq = true; break;
-      case BinOp::kGt: want_gt = true; break;
-      case BinOp::kGe: want_gt = want_eq = true; break;
-      default: break;
-    }
-    switch (cc.literal.type()) {
-      case Type::kInt:
-        lit_numeric = lit_int = true;
-        ilit = cc.literal.as_int();
-        dlit = static_cast<double>(ilit);
-        break;
-      case Type::kDouble:
-        lit_numeric = true;
-        dlit = cc.literal.as_double();
-        break;
-      default:
-        slit = cc.literal.as_string_view();
-        break;
-    }
-  }
-
-  void classify(const Row& row, std::size_t lane, ScanBlock& b) const {
-    const Value& v = row[column];
-    switch (v.type()) {
-      case Type::kInt:
-        b.cls[lane] = kLaneInt;
-        b.ints[lane] = v.as_int();
-        b.nums[lane] = static_cast<double>(b.ints[lane]);
-        break;
-      case Type::kDouble:
-        b.cls[lane] = kLaneDouble;
-        b.nums[lane] = v.as_double();
-        break;
-      case Type::kString: {
-        const std::string_view s = v.as_string_view();
-        b.cls[lane] = kLaneString;
-        b.strs[lane] = s.data();
-        b.lens[lane] = static_cast<std::uint32_t>(s.size());
-        break;
-      }
-      default:
-        b.cls[lane] = kLaneNull;
-        break;
-    }
-  }
-
-  void evaluate(ScanBlock& b, std::size_t n) const {
-    if (lit_numeric) {
-      evaluate_numeric(b, n);
-    } else {
-      evaluate_string(b, n);
-    }
-  }
-
- private:
-  /// Numeric literal: every lane reduces to a rank against the literal —
-  /// strings rank above all numerics, NULL is masked. Branch-free body;
-  /// auto-vectorizes.
-  void evaluate_numeric(ScanBlock& b, std::size_t n) const {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint8_t cls = b.cls[i];
-      int lt = b.nums[i] < dlit;
-      int gt = b.nums[i] > dlit;
-      if (lit_int) {
-        // Exact int/int compare (Value::compare never rounds two ints
-        // through double).
-        const int use_int = cls == kLaneInt;
-        lt = (use_int & (b.ints[i] < ilit)) | ((!use_int) & lt);
-        gt = (use_int & (b.ints[i] > ilit)) | ((!use_int) & gt);
-      }
-      const int is_str = cls == kLaneString;  // numerics before strings
-      lt &= !is_str;
-      gt |= is_str;
-      const int eq = !lt & !gt;
-      b.keep[i] = static_cast<std::uint8_t>(
-          (cls != kLaneNull) &
-          ((lt & want_lt) | (eq & want_eq) | (gt & want_gt)));
-    }
-  }
-
-  /// String literal: numeric lanes rank below every string; string lanes
-  /// pay a content compare — gated by a cheap length check on the
-  /// equality-shaped ops, which rejects almost every row without touching
-  /// the bytes.
-  void evaluate_string(ScanBlock& b, std::size_t n) const {
-    const bool eq_shaped = !want_lt && !want_gt;  // kEq
-    for (std::size_t i = 0; i < n; ++i) {
-      switch (b.cls[i]) {
-        case kLaneNull:
-          b.keep[i] = 0;
-          break;
-        case kLaneInt:
-        case kLaneDouble:
-          b.keep[i] = static_cast<std::uint8_t>(want_lt);
-          break;
-        default: {
-          if (eq_shaped && b.lens[i] != slit.size()) {
-            b.keep[i] = 0;
-            break;
-          }
-          const std::string_view s(b.strs[i], b.lens[i]);
-          const int c = s.compare(slit);
-          b.keep[i] = static_cast<std::uint8_t>(((c < 0) & want_lt) |
-                                                ((c == 0) & want_eq) |
-                                                ((c > 0) & want_gt));
-          break;
-        }
-      }
-    }
-  }
-};
-
-void block_scan_table(const Table& table, const BlockKernel& kernel,
-                      std::vector<RowId>& out) {
-  ScanBlock block;
-  const std::size_t n = table.row_count();
-  for (RowId base = 0; base < n; base += ScanBlock::kWidth) {
-    const std::size_t take = std::min(ScanBlock::kWidth, n - base);
-    for (std::size_t lane = 0; lane < take; ++lane) {
-      kernel.classify(table.row_unchecked(base + lane), lane, block);
-    }
-    kernel.evaluate(block, take);
-    for (std::size_t lane = 0; lane < take; ++lane) {
-      if (block.keep[lane]) out.push_back(base + lane);
-    }
-  }
-}
-
-void block_filter_ids(const Table& table, const BlockKernel& kernel,
-                      std::vector<RowId>& ids) {
-  ScanBlock block;
-  std::size_t kept = 0;
-  const std::size_t n = ids.size();
-  for (std::size_t base = 0; base < n; base += ScanBlock::kWidth) {
-    const std::size_t take = std::min(ScanBlock::kWidth, n - base);
-    for (std::size_t lane = 0; lane < take; ++lane) {
-      kernel.classify(table.row_unchecked(ids[base + lane]), lane, block);
-    }
-    kernel.evaluate(block, take);
-    for (std::size_t lane = 0; lane < take; ++lane) {
-      if (block.keep[lane]) ids[kept++] = ids[base + lane];
-    }
-  }
-  ids.resize(kept);
-}
-
-/// The decomposed compare when the blocked kernel applies to `predicate`
-/// over a table of `columns` columns.
-std::optional<ColumnCompare> block_compare(const Expr& predicate,
-                                           std::size_t columns) noexcept {
-  auto cc = predicate.as_column_compare();
-  if (cc && cc->column < columns) return cc;
-  return std::nullopt;
-}
-
-}  // namespace
-
-bool block_scannable(const Expr& predicate) noexcept {
-  return predicate.as_column_compare().has_value();
-}
-
-void scan_ids(const Table& table, const Expr& predicate, std::vector<RowId>& out) {
-  if (const auto cc = block_compare(predicate, table.schema().size())) {
-    block_scan_table(table, BlockKernel(*cc), out);
-    return;
-  }
-  const std::size_t n = table.row_count();
-  for (RowId id = 0; id < n; ++id) {
-    if (predicate.eval_bool(table.row_unchecked(id))) out.push_back(id);
-  }
-}
-
-ResultSet scan(const Table& table, const ExprPtr& predicate) {
+ResultSet scan(const Table& table) {
   ResultSet out;
   out.schema = table.schema();
-  if (predicate) {
-    if (const auto cc = block_compare(*predicate, table.schema().size())) {
-      std::vector<RowId> ids;
-      block_scan_table(table, BlockKernel(*cc), ids);
-      out.rows.reserve(ids.size());
-      for (const RowId id : ids) out.rows.push_back(table.row_unchecked(id));
-      return out;
-    }
-  }
-  out.rows.reserve(predicate ? table.row_count() / 4 : table.row_count());
-  for (const Row& row : table.rows()) {
-    if (!predicate || predicate->eval_bool(row)) out.rows.push_back(row);
-  }
+  out.rows.reserve(table.row_count());
+  for (const Row& row : table.rows()) out.rows.push_back(row);
   return out;
-}
-
-ResultSet index_scan(const Table& table, const Index& index, const Key& key) {
-  return index_scan(table, index, key, nullptr);
 }
 
 ResultSet index_scan(const Table& table, const Index& index, const Key& key,
@@ -300,36 +71,6 @@ ResultSet index_scan(const Table& table, const Index& index, const Key& key,
   return out;
 }
 
-void index_scan_ids(const Index& index, const Key& key, std::vector<RowId>& out) {
-  index.lookup_into(key, out);
-}
-
-std::vector<RowId> index_scan_ids(const Index& index, const Key& key) {
-  std::vector<RowId> out;
-  index.lookup_into(key, out);
-  return out;
-}
-
-void filter_ids(const Table& table, const Expr& predicate, std::vector<RowId>& ids) {
-  if (const auto cc = block_compare(predicate, table.schema().size())) {
-    block_filter_ids(table, BlockKernel(*cc), ids);
-    return;
-  }
-  std::size_t kept = 0;
-  for (const RowId id : ids) {
-    if (predicate.eval_bool(table.row_unchecked(id))) ids[kept++] = id;
-  }
-  ids.resize(kept);
-}
-
-ResultSet materialize(const Table& table, const std::vector<RowId>& ids) {
-  ResultSet out;
-  out.schema = table.schema();
-  out.rows.reserve(ids.size());
-  for (const RowId id : ids) out.rows.push_back(table.row(id));
-  return out;
-}
-
 ResultSet filter(ResultSet input, const Expr& predicate) {
   std::vector<Row> kept;
   kept.reserve(input.rows.size());
@@ -338,25 +79,6 @@ ResultSet filter(ResultSet input, const Expr& predicate) {
   }
   input.rows = std::move(kept);
   return input;
-}
-
-ResultSet project(const ResultSet& input, const std::vector<std::string>& columns) {
-  std::vector<std::size_t> positions;
-  positions.reserve(columns.size());
-  ResultSet out;
-  for (const auto& name : columns) {
-    const std::size_t pos = input.schema.require(name);
-    positions.push_back(pos);
-    out.schema.add(input.schema.column(pos));
-  }
-  out.rows.reserve(input.rows.size());
-  for (const Row& row : input.rows) {
-    Row projected;
-    projected.reserve(positions.size());
-    for (const std::size_t pos : positions) projected.push_back(row[pos]);
-    out.rows.push_back(std::move(projected));
-  }
-  return out;
 }
 
 ResultSet project_exprs(const ResultSet& input,
@@ -446,18 +168,6 @@ ResultSet hash_join(const ResultSet& left, const std::vector<std::size_t>& left_
     }
   }
   return out;
-}
-
-ResultSet hash_join_named(const ResultSet& left, const std::vector<std::string>& left_keys,
-                          const ResultSet& right, const std::vector<std::string>& right_keys,
-                          JoinType type, const std::string& right_prefix) {
-  std::vector<std::size_t> lk;
-  std::vector<std::size_t> rk;
-  lk.reserve(left_keys.size());
-  rk.reserve(right_keys.size());
-  for (const auto& name : left_keys) lk.push_back(left.schema.require(name));
-  for (const auto& name : right_keys) rk.push_back(right.schema.require(name));
-  return hash_join(left, lk, right, rk, type, right_prefix);
 }
 
 ResultSet index_join(const ResultSet& left, const std::vector<std::size_t>& left_key_columns,
@@ -627,14 +337,6 @@ ResultSet distinct_on(const ResultSet& input, const std::vector<std::size_t>& co
 ResultSet limit(ResultSet input, std::size_t n) {
   if (input.rows.size() > n) input.rows.resize(n);
   return input;
-}
-
-ResultSet union_all(ResultSet a, const ResultSet& b) {
-  if (a.schema.size() != b.schema.size()) {
-    throw TypeError("union_all: arity mismatch");
-  }
-  a.rows.insert(a.rows.end(), b.rows.begin(), b.rows.end());
-  return a;
 }
 
 }  // namespace hxrc::rel

@@ -1,15 +1,12 @@
 // Materialized relational operators.
 //
-// The hybrid query engine (Fig. 4) and the SQL executor are both built from
-// these primitives. Operators consume and produce ResultSets (schema +
-// rows); tables enter a pipeline through scan() or an index probe. All
-// operators are set-based, mirroring the paper's insistence that both the
-// object query and the response construction run as set operations inside
-// the database.
+// The SQL executor is built from these primitives, and the §5 response
+// builder uses the index probe, index join and distinct_on. Operators
+// consume and produce ResultSets (schema + rows); tables enter a pipeline
+// through scan() or an index probe. The Fig. 4 query engine uses only
+// for_each_match, which visits index buckets without copying rows.
 #pragma once
 
-#include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,64 +31,20 @@ struct ResultSet {
   std::string pretty() const;
 };
 
-/// Full scan with optional predicate.
-ResultSet scan(const Table& table, const ExprPtr& predicate = nullptr);
+/// Full scan: every row of the table.
+ResultSet scan(const Table& table);
 
 /// Index probe: all rows matching the key, as a ResultSet. With a ReadView,
-/// only snapshot-visible rows match and the probe never locks or syncs.
-ResultSet index_scan(const Table& table, const Index& index, const Key& key);
+/// only snapshot-visible rows match and the probe never locks or syncs;
+/// nullptr falls back to the syncing probe.
 ResultSet index_scan(const Table& table, const Index& index, const Key& key,
                      const ReadView* view);
 
-// ---- Non-materializing pipeline primitives ----
-//
-// These operate on RowId vectors over a base table instead of copying rows
-// into ResultSets. A pipeline stage probes an index (index_scan_ids),
-// narrows in place (filter_ids / for_each_match evaluating predicates
-// against the base-table row), and copies rows out at most once, at the end
-// (materialize). The Fig. 4 query engine is built on these.
-
-/// Index probe returning row ids; the append-to-out form reuses `out`'s
-/// capacity across probes (ids are appended, `out` is not cleared).
-void index_scan_ids(const Index& index, const Key& key, std::vector<RowId>& out);
-std::vector<RowId> index_scan_ids(const Index& index, const Key& key);
-
-/// Keeps the ids whose base-table row satisfies the predicate. In-place and
-/// order-stable; no row is copied. Single column-vs-constant comparisons
-/// take the blocked scan kernel (below); other shapes evaluate per row.
-void filter_ids(const Table& table, const Expr& predicate, std::vector<RowId>& ids);
-
-/// Non-materializing full scan: appends the ids of rows satisfying
-/// `predicate` in ascending order. The non-indexed filter path at scale:
-/// column-vs-constant comparisons run as a BLOCK SCAN — rows classified
-/// into dense per-block value lanes, then compared with a branchless,
-/// auto-vectorizable kernel (8-wide under SSE2/NEON) instead of per-row
-/// Expr dispatch — with exactly Expr::eval_bool's comparison semantics
-/// (NULL never matches; numerics order before strings; int/int compares
-/// exactly).
-void scan_ids(const Table& table, const Expr& predicate, std::vector<RowId>& out);
-
-/// True when `predicate` is a shape scan_ids/filter_ids evaluate with the
-/// blocked kernel (exposed for tests and benches).
-bool block_scannable(const Expr& predicate) noexcept;
-
-/// Copies the identified base-table rows into a ResultSet — the single
-/// materialization point at the end of a non-materializing stage.
-ResultSet materialize(const Table& table, const std::vector<RowId>& ids);
-
 /// Visits every base-table row under `key` without copying: `visit` is
 /// called as visit(row, id). `scratch` is cleared and reused for the probe,
-/// so a caller-owned vector amortizes allocations across calls.
-template <typename Visitor>
-void for_each_match(const Table& table, const Index& index, const Key& key,
-                    std::vector<RowId>& scratch, Visitor&& visit) {
-  scratch.clear();
-  index.lookup_into(key, scratch);
-  for (const RowId id : scratch) visit(table.row_unchecked(id), id);
-}
-
-/// MVCC form: probes through `view` (nullptr falls back to the syncing
-/// probe above), visiting only snapshot-visible rows, never locking.
+/// so a caller-owned vector amortizes allocations across calls. Probes
+/// through `view` (visiting only snapshot-visible rows, never locking);
+/// nullptr falls back to the syncing probe.
 template <typename Visitor>
 void for_each_match(const Table& table, const Index& index, const Key& key,
                     const ReadView* view, std::vector<RowId>& scratch,
@@ -108,9 +61,6 @@ void for_each_match(const Table& table, const Index& index, const Key& key,
 /// Keeps rows satisfying the predicate.
 ResultSet filter(ResultSet input, const Expr& predicate);
 
-/// Keeps the named columns, in the given order.
-ResultSet project(const ResultSet& input, const std::vector<std::string>& columns);
-
 /// Computed projection: each output column is an expression over the input.
 ResultSet project_exprs(const ResultSet& input,
                         const std::vector<std::pair<ExprPtr, Column>>& outputs);
@@ -124,12 +74,6 @@ ResultSet hash_join(const ResultSet& left, const std::vector<std::size_t>& left_
                     const ResultSet& right, const std::vector<std::size_t>& right_keys,
                     JoinType type = JoinType::kInner,
                     const std::string& right_prefix = "r_");
-
-/// Convenience: equi-join by column names.
-ResultSet hash_join_named(const ResultSet& left, const std::vector<std::string>& left_keys,
-                          const ResultSet& right, const std::vector<std::string>& right_keys,
-                          JoinType type = JoinType::kInner,
-                          const std::string& right_prefix = "r_");
 
 /// Join left rows against a table through one of its indexes: for each left
 /// row, probe index with values of `left_key_columns`; emit left ++ table row.
@@ -163,8 +107,5 @@ ResultSet distinct(ResultSet input);
 ResultSet distinct_on(const ResultSet& input, const std::vector<std::size_t>& columns);
 
 ResultSet limit(ResultSet input, std::size_t n);
-
-/// Set helpers used by tests.
-ResultSet union_all(ResultSet a, const ResultSet& b);
 
 }  // namespace hxrc::rel

@@ -77,13 +77,6 @@ const Index* Table::index(std::string_view index_name) const noexcept {
   return nullptr;
 }
 
-const Index* Table::index_on(const std::vector<std::size_t>& columns) const noexcept {
-  for (const auto& index : indexes_) {
-    if (index->key_columns() == columns) return index.get();
-  }
-  return nullptr;
-}
-
 std::size_t Table::approx_bytes() const noexcept {
   std::size_t bytes = 0;
   for (const Row& row : rows_) {

@@ -87,10 +87,6 @@ class Table {
   /// Index by name; nullptr when absent.
   const Index* index(std::string_view index_name) const noexcept;
 
-  /// First index whose key columns are exactly `columns`
-  /// (ordered); nullptr when none exists.
-  const Index* index_on(const std::vector<std::size_t>& columns) const noexcept;
-
   const std::vector<std::unique_ptr<Index>>& indexes() const noexcept { return indexes_; }
 
   /// Approximate heap footprint in bytes (storage experiment E10).

@@ -48,21 +48,4 @@ void ThreadPool::wait_idle() {
   idle_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
 }
 
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn) {
-  if (begin >= end) return;
-  const std::size_t n = end - begin;
-  const std::size_t chunks = std::min(n, pool.size() * 4);
-  const std::size_t chunk = (n + chunks - 1) / chunks;
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (std::size_t lo = begin; lo < end; lo += chunk) {
-    const std::size_t hi = std::min(end, lo + chunk);
-    futures.push_back(pool.submit([lo, hi, &fn] {
-      for (std::size_t i = lo; i < hi; ++i) fn(i);
-    }));
-  }
-  for (auto& f : futures) f.get();
-}
-
 }  // namespace hxrc::util

@@ -1,9 +1,8 @@
-// Fixed-size thread pool and data-parallel helpers.
+// Fixed-size thread pool.
 //
-// The catalog uses this for parallel document ingest and for concurrent
-// query evaluation in the benchmarks (experiment E9). The pool is a plain
-// mutex/condvar work queue: ingest and query tasks are coarse (whole
-// documents, whole queries) so a lock-free deque would buy nothing.
+// The service dispatcher and the federation router run admitted requests
+// on it. The pool is a plain mutex/condvar work queue: tasks are coarse
+// (whole requests) so a lock-free deque would buy nothing.
 #pragma once
 
 #include <condition_variable>
@@ -59,10 +58,5 @@ class ThreadPool {
   std::size_t active_ = 0;
   bool stop_ = false;
 };
-
-/// Runs fn(i) for i in [begin, end) across the pool, blocking until done.
-/// Work is chunked statically; exceptions propagate from the first failure.
-void parallel_for(ThreadPool& pool, std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& fn);
 
 }  // namespace hxrc::util

@@ -285,28 +285,57 @@ TEST(NetServer, DrainCompletesInFlightAndRejectsNewFrames) {
   net.drain_linger = std::chrono::milliseconds(10000);
   TestServer ts(std::move(dispatch), net);
 
+  const std::string stats = "<catalogRequest type=\"stats\"/>";
+
   // In-flight: picked up by the (held) worker before the drain begins.
   BlockingClient in_flight = ts.connect();
-  in_flight.send_request("<catalogRequest type=\"stats\"/>");
+  in_flight.set_io_timeout(20000);  // a hang fails the test, not the suite
+  in_flight.send_request(stats);
   while (entered.load(std::memory_order_acquire) == 0) std::this_thread::sleep_for(1ms);
 
+  // Late: registered with an event loop and holding an admitted request
+  // queued behind the held worker before the drain begins. Otherwise the
+  // drain could close the listener before the acceptor hands the
+  // connection over, or close it as quiet before its next frame is read.
   BlockingClient late = ts.connect();
+  late.set_io_timeout(20000);
+  const std::uint32_t queued_id = late.send_request(stats);
+  while (ts.server->open_connections() < 2 || ts.dispatcher.queue_depth() == 0) {
+    std::this_thread::sleep_for(1ms);
+  }
 
   std::thread drainer([&ts] { ts.server->drain(); });
-  while (!ts.server->draining()) std::this_thread::sleep_for(1ms);
+  // Release the worker and join the drainer on every exit path, so a failed
+  // expectation or a SocketError below is reported instead of aborting the
+  // binary with a joinable thread.
+  struct JoinOnExit {
+    std::atomic<bool>& release;
+    std::thread& thread;
+    ~JoinOnExit() {
+      release.store(true, std::memory_order_release);
+      if (thread.joinable()) thread.join();
+    }
+  } join_drainer{release, drainer};
+  // The dispatcher closes its admission gate after the server flags the
+  // drain, so wait for the gate.
+  while (!ts.dispatcher.draining()) std::this_thread::sleep_for(1ms);
 
-  // A frame arriving during the drain is answered code="draining", flushed,
-  // and the connection is closed.
-  late.send_request("<catalogRequest type=\"stats\"/>");
+  // A frame arriving during the drain is answered code="draining".
+  const std::uint32_t rejected_id = late.send_request(stats);
   const Frame rejected = late.recv_frame();
+  EXPECT_EQ(rejected.request_id, rejected_id);
   EXPECT_EQ(code_of(rejected.payload), "draining");
-  EXPECT_THROW(late.recv_frame(), SocketError);  // EOF after the flush
 
-  // The in-flight request still completes with its real response.
+  // The in-flight and the queued request still complete with their real
+  // responses; each connection closes once its last response is flushed.
   release.store(true, std::memory_order_release);
   const Frame completed = in_flight.recv_frame();
   EXPECT_EQ(status_of(completed.payload), "ok");
   EXPECT_THROW(in_flight.recv_frame(), SocketError);
+  const Frame queued = late.recv_frame();
+  EXPECT_EQ(queued.request_id, queued_id);
+  EXPECT_EQ(status_of(queued.payload), "ok");
+  EXPECT_THROW(late.recv_frame(), SocketError);  // EOF after the flush
 
   drainer.join();
   EXPECT_EQ(ts.server->open_connections(), 0u);

@@ -89,11 +89,6 @@ TEST(Expr, ConjunctionBuilder) {
   EXPECT_TRUE(both->eval_bool(kRow));
 }
 
-TEST(Expr, ColumnIndexIntrospection) {
-  EXPECT_EQ(column_index(*col(3)), 3u);
-  EXPECT_FALSE(column_index(*lit(Value(std::int64_t{1}))).has_value());
-}
-
 TEST(Expr, Describe) {
   EXPECT_EQ(eq(col(0, "id"), lit(Value(std::int64_t{5})))->describe(), "(id = 5)");
 }

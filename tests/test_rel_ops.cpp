@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <set>
+#include <string>
+#include <vector>
 
+#include "rel/database.hpp"
 #include "rel/ops.hpp"
 
 namespace hxrc::rel {
@@ -35,27 +37,11 @@ TEST(Ops, ScanAll) {
   EXPECT_EQ(scan(t).size(), 5u);
 }
 
-TEST(Ops, ScanWithPredicate) {
-  const Table t = people();
-  const auto result = scan(t, gt(col(3), lit(Value(90.0))));
-  EXPECT_EQ(result.size(), 2u);
-}
-
 TEST(Ops, FilterKeepsMatching) {
   const Table t = people();
   ResultSet all = scan(t);
   const ResultSet young = filter(std::move(all), *le(col(0), lit(Value(std::int64_t{2}))));
   EXPECT_EQ(young.size(), 2u);
-}
-
-TEST(Ops, ProjectByName) {
-  const Table t = people();
-  const ResultSet result = project(scan(t), {"name", "id"});
-  EXPECT_EQ(result.schema.size(), 2u);
-  EXPECT_EQ(result.schema.column(0).name, "name");
-  EXPECT_EQ(result.rows[0][0].as_string(), "ann");
-  EXPECT_EQ(result.rows[0][1].as_int(), 1);
-  EXPECT_THROW(project(scan(t), {"missing"}), TypeError);
 }
 
 TEST(Ops, ProjectExprsComputes) {
@@ -66,8 +52,7 @@ TEST(Ops, ProjectExprsComputes) {
 }
 
 TEST(Ops, InnerHashJoin) {
-  const ResultSet joined =
-      hash_join_named(scan(people()), {"dept"}, scan(departments()), {"dept_id"});
+  const ResultSet joined = hash_join(scan(people()), {2}, scan(departments()), {0});
   EXPECT_EQ(joined.size(), 4u);  // eve's NULL dept joins nothing
   const std::size_t dept_name = joined.column("dept_name");
   for (const Row& row : joined.rows) {
@@ -76,8 +61,8 @@ TEST(Ops, InnerHashJoin) {
 }
 
 TEST(Ops, LeftOuterJoinPadsWithNulls) {
-  const ResultSet joined = hash_join_named(scan(people()), {"dept"}, scan(departments()),
-                                           {"dept_id"}, JoinType::kLeftOuter);
+  const ResultSet joined =
+      hash_join(scan(people()), {2}, scan(departments()), {0}, JoinType::kLeftOuter);
   EXPECT_EQ(joined.size(), 5u);
   const std::size_t dept_name = joined.column("dept_name");
   std::size_t nulls = 0;
@@ -182,40 +167,25 @@ TEST(Ops, LimitTruncates) {
   EXPECT_EQ(limit(scan(people()), 100).size(), 5u);
 }
 
-TEST(Ops, UnionAll) {
-  const ResultSet u = union_all(scan(departments()), scan(departments()));
-  EXPECT_EQ(u.size(), 6u);
-}
-
 TEST(Ops, IndexScan) {
   Table d = departments();
   d.create_hash_index("by_id", {"dept_id"});
-  const ResultSet result = index_scan(d, *d.index("by_id"), Key{{Value(std::int64_t{10})}});
+  const ResultSet result =
+      index_scan(d, *d.index("by_id"), Key{{Value(std::int64_t{10})}}, nullptr);
   ASSERT_EQ(result.size(), 1u);
   EXPECT_EQ(result.rows[0][1].as_string(), "storms");
 }
 
-TEST(Ops, IndexScanIdsAndMaterialize) {
+TEST(Ops, IndexScanThroughReadViewSeesOnlyRowsBelowTheWatermark) {
   Table t = people();
+  t.set_slot(0);
   t.create_hash_index("by_dept", {"dept"});
-  std::vector<RowId> ids = index_scan_ids(*t.index("by_dept"), Key{{Value(std::int64_t{20})}});
-  ASSERT_EQ(ids.size(), 2u);
-
-  // Narrow in place, then copy rows only once at the end of the stage.
-  filter_ids(t, *gt(col(3), lit(Value(100.0))), ids);
-  ASSERT_EQ(ids.size(), 1u);
-  const ResultSet result = materialize(t, ids);
-  EXPECT_EQ(result.schema.size(), t.schema().size());
-  ASSERT_EQ(result.size(), 1u);
-  EXPECT_EQ(result.rows[0][1].as_string(), "cid");
-}
-
-TEST(Ops, FilterIdsTreatsNullAsFalse) {
-  Table t = people();
-  std::vector<RowId> ids;
-  for (RowId id = 0; id < t.row_count(); ++id) ids.push_back(id);
-  filter_ids(t, *eq(col(2), lit(Value(std::int64_t{10}))), ids);
-  EXPECT_EQ(ids.size(), 2u);  // eve's NULL dept is dropped, not matched
+  const ReadView view({3});  // rows 0..2 visible: ann, bob, cid
+  const Key dept20{{Value(std::int64_t{20})}};
+  const ResultSet visible = index_scan(t, *t.index("by_dept"), dept20, &view);
+  ASSERT_EQ(visible.size(), 1u);
+  EXPECT_EQ(visible.rows[0][1].as_string(), "cid");
+  EXPECT_EQ(index_scan(t, *t.index("by_dept"), dept20, nullptr).size(), 2u);
 }
 
 TEST(Ops, ForEachMatchVisitsBucketWithoutCopying) {
@@ -223,16 +193,24 @@ TEST(Ops, ForEachMatchVisitsBucketWithoutCopying) {
   t.create_hash_index("by_dept", {"dept"});
   std::vector<RowId> scratch;
   std::vector<std::string> names;
-  for_each_match(t, *t.index("by_dept"), Key{{Value(std::int64_t{10})}}, scratch,
+  for_each_match(t, *t.index("by_dept"), Key{{Value(std::int64_t{10})}}, nullptr, scratch,
                  [&](const Row& row, RowId) { names.push_back(row[1].as_string()); });
   std::sort(names.begin(), names.end());
   EXPECT_EQ(names, (std::vector<std::string>{"ann", "bob"}));
 
   // The scratch buffer is reused: a second probe does not grow the result.
   names.clear();
-  for_each_match(t, *t.index("by_dept"), Key{{Value(std::int64_t{30})}}, scratch,
+  for_each_match(t, *t.index("by_dept"), Key{{Value(std::int64_t{30})}}, nullptr, scratch,
                  [&](const Row&, RowId) { names.emplace_back(); });
   EXPECT_TRUE(names.empty());
+
+  // Through a ReadView only rows below the watermark are visited.
+  t.set_slot(0);
+  const ReadView view({1});  // only ann is visible
+  names.clear();
+  for_each_match(t, *t.index("by_dept"), Key{{Value(std::int64_t{10})}}, &view, scratch,
+                 [&](const Row& row, RowId) { names.push_back(row[1].as_string()); });
+  EXPECT_EQ(names, (std::vector<std::string>{"ann"}));
 }
 
 TEST(Ops, IndexBucketSizeEstimatesCardinality) {
@@ -250,98 +228,92 @@ TEST(Ops, PrettyRendersHeaderAndRows) {
   EXPECT_NE(text.find("storms"), std::string::npos);
 }
 
-// ---- Blocked scan kernel: differential check against per-row eval ----
+// ---- Comparison semantics of filter and SQL WHERE ----
 
-/// A table whose single value column mixes nulls, ints, doubles, and
-/// strings (short and long), entered via append_unchecked the way the
-/// shredder's unchecked batch path can. Deterministic PRNG so failures
-/// reproduce.
-Table mixed_values(std::size_t rows) {
+constexpr std::int64_t kTwoTo53 = std::int64_t{1} << 53;
+
+/// One value column mixing NULL, ints (two past 2^53 that a double cannot
+/// tell apart), doubles and strings, entered via append_unchecked the way
+/// the shredder's unchecked batch path can. Row ids equal the id column.
+void fill_mixed(Table& t) {
+  const Value values[] = {Value::null(),          Value(std::int64_t{5}),
+                          Value(5.5),             Value(kTwoTo53),
+                          Value(kTwoTo53 + 1),    Value("grid"),
+                          Value("730"),           Value(2.0),
+                          Value(std::int64_t{2})};
+  std::int64_t id = 0;
+  for (const Value& v : values) t.append_unchecked(Row{Value(id++), v});
+}
+
+std::vector<std::int64_t> filtered_ids(const Table& t, const ExprPtr& predicate) {
+  const ResultSet kept = filter(scan(t), *predicate);
+  std::vector<std::int64_t> ids;
+  for (const Row& row : kept.rows) ids.push_back(row[0].as_int());
+  return ids;
+}
+
+using Ids = std::vector<std::int64_t>;
+
+TEST(Ops, FilterComparisonSemanticsOnMixedTypes) {
   Table t("mixed", TableSchema{{"id", Type::kInt}, {"v", Type::kString}});
-  std::uint64_t state = 0x9e3779b97f4a7c15ull;
-  auto next = [&state]() {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state;
+  fill_mixed(t);
+  const auto v = [] { return col(1); };
+  const auto i64 = [](std::int64_t x) { return lit(Value(x)); };
+
+  // NULL never matches, not even under != or against a string.
+  EXPECT_EQ(filtered_ids(t, ne(v(), i64(5))), (Ids{2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_EQ(filtered_ids(t, lt(v(), lit(Value("zzz")))), (Ids{1, 2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_TRUE(filtered_ids(t, eq(v(), lit(Value::null()))).empty());
+  // ...and the people table's NULL dept is dropped, not matched.
+  EXPECT_EQ(filter(scan(people()), *eq(col(2), i64(10))).size(), 2u);
+
+  // int64 values past 2^53 compare exactly, not through double.
+  EXPECT_EQ(filtered_ids(t, eq(v(), i64(kTwoTo53 + 1))), (Ids{4}));
+  EXPECT_EQ(filtered_ids(t, eq(v(), i64(kTwoTo53))), (Ids{3}));
+
+  // int against double compares numerically.
+  EXPECT_EQ(filtered_ids(t, eq(v(), i64(2))), (Ids{7, 8}));
+  EXPECT_EQ(filtered_ids(t, eq(v(), lit(Value(2.0)))), (Ids{7, 8}));
+  EXPECT_EQ(filtered_ids(t, lt(v(), lit(Value(5.5)))), (Ids{1, 7, 8}));
+  EXPECT_EQ(filtered_ids(t, ge(v(), lit(Value(5.0)))), (Ids{1, 2, 3, 4, 5, 6}));
+
+  // Numbers order before strings.
+  EXPECT_EQ(filtered_ids(t, gt(v(), i64(kTwoTo53))), (Ids{4, 5, 6}));
+  EXPECT_EQ(filtered_ids(t, lt(v(), lit(Value("0")))), (Ids{1, 2, 3, 4, 7, 8}));
+  EXPECT_EQ(filtered_ids(t, ge(v(), lit(Value("730")))), (Ids{5, 6}));
+  EXPECT_TRUE(filtered_ids(t, eq(v(), lit(Value("5")))).empty());
+
+  // The literal on the left mirrors the comparison.
+  EXPECT_EQ(filtered_ids(t, lt(i64(5), v())), (Ids{2, 3, 4, 5, 6}));
+  EXPECT_EQ(filtered_ids(t, ge(lit(Value(5.5)), v())), (Ids{1, 2, 7, 8}));
+  EXPECT_EQ(filtered_ids(t, eq(lit(Value("grid")), v())), (Ids{5}));
+}
+
+TEST(Ops, SqlWhereComparisonSemanticsOnMixedTypes) {
+  Database db;
+  fill_mixed(db.create_table("mixed", TableSchema{{"id", Type::kInt}, {"v", Type::kString}}));
+  const auto where = [&db](const std::string& condition) {
+    const ResultSet result =
+        db.execute("SELECT id FROM mixed WHERE " + condition + " ORDER BY id");
+    Ids ids;
+    for (const Row& row : result.rows) ids.push_back(row[0].as_int());
+    return ids;
   };
-  const char* words[] = {"alpha", "beta", "grid", "0730", "730", "",
-                         "a-rather-long-uninterned-metadata-string"};
-  for (std::size_t i = 0; i < rows; ++i) {
-    Value v;
-    switch (next() % 6) {
-      case 0: v = Value::null(); break;
-      case 1: v = Value(static_cast<std::int64_t>(next() % 1000) - 500); break;
-      case 2: v = Value((static_cast<double>(next() % 2000) - 1000.0) / 4.0); break;
-      case 3: v = Value(static_cast<std::int64_t>(1) << 53); break;  // > 2^53 exactness
-      default: v = Value(words[next() % (sizeof(words) / sizeof(words[0]))]); break;
-    }
-    t.append_unchecked(Row{Value(static_cast<std::int64_t>(i)), std::move(v)});
-  }
-  return t;
-}
 
-TEST(Ops, BlockScanMatchesPerRowEvalOnMixedTypes) {
-  const Table t = mixed_values(1000);
-  const Value literals[] = {Value(std::int64_t{42}),  Value(std::int64_t{-500}),
-                            Value((std::int64_t{1} << 53) + 1),
-                            Value(42.0),  Value(-12.25), Value("grid"),
-                            Value("0730"), Value("")};
-  const BinOp ops[] = {BinOp::kEq, BinOp::kNe, BinOp::kLt,
-                       BinOp::kLe, BinOp::kGt, BinOp::kGe};
-  for (const Value& literal : literals) {
-    for (const BinOp op : ops) {
-      for (const bool flipped : {false, true}) {
-        const ExprPtr pred = flipped ? binary(op, lit(literal), col(1))
-                                     : binary(op, col(1), lit(literal));
-        ASSERT_TRUE(block_scannable(*pred));
-        std::vector<RowId> fast;
-        scan_ids(t, *pred, fast);
-        std::vector<RowId> slow;
-        for (RowId id = 0; id < t.row_count(); ++id) {
-          if (pred->eval_bool(t.row_unchecked(id))) slow.push_back(id);
-        }
-        EXPECT_EQ(fast, slow) << pred->describe();
-
-        // filter_ids over a sparse id subset must agree too.
-        std::vector<RowId> sparse_fast, sparse_slow;
-        for (RowId id = 0; id < t.row_count(); id += 3) sparse_fast.push_back(id);
-        sparse_slow = sparse_fast;
-        filter_ids(t, *pred, sparse_fast);
-        std::size_t kept = 0;
-        for (const RowId id : sparse_slow) {
-          if (pred->eval_bool(t.row_unchecked(id))) sparse_slow[kept++] = id;
-        }
-        sparse_slow.resize(kept);
-        EXPECT_EQ(sparse_fast, sparse_slow) << pred->describe();
-      }
-    }
-  }
-}
-
-TEST(Ops, BlockScannableRejectsNonComparisonShapes) {
-  EXPECT_FALSE(block_scannable(*and_(gt(col(0), lit(Value(1.0))),
-                                     lt(col(0), lit(Value(2.0))))));
-  EXPECT_FALSE(block_scannable(*like(col(1), "gr%")));
-  EXPECT_FALSE(block_scannable(*is_null(col(1))));
-  EXPECT_FALSE(block_scannable(*eq(col(0), col(1))));
-  EXPECT_FALSE(block_scannable(*eq(col(1), lit(Value::null()))));
-  EXPECT_TRUE(block_scannable(*eq(lit(Value("x")), col(1))));
-}
-
-TEST(Ops, ScanUsesKernelAndMatchesMaterializedRows) {
-  const Table t = mixed_values(300);
-  const ExprPtr pred = ge(col(1), lit(Value(0.0)));
-  const ResultSet via_scan = scan(t, pred);
-  std::vector<RowId> ids;
-  scan_ids(t, *pred, ids);
-  const ResultSet via_ids = materialize(t, ids);
-  ASSERT_EQ(via_scan.size(), via_ids.size());
-  for (std::size_t i = 0; i < via_scan.size(); ++i) {
-    for (std::size_t c = 0; c < via_scan.schema.size(); ++c) {
-      EXPECT_EQ(via_scan.rows[i][c].compare(via_ids.rows[i][c]), 0);
-    }
-  }
+  // NULL never matches.
+  EXPECT_EQ(where("v <> 5"), (Ids{2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_TRUE(where("v = NULL").empty());
+  // Past 2^53 (9007199254740992) ints compare exactly.
+  EXPECT_EQ(where("v = 9007199254740993"), (Ids{4}));
+  // int against double.
+  EXPECT_EQ(where("v = 2"), (Ids{7, 8}));
+  EXPECT_EQ(where("v < 5.5"), (Ids{1, 7, 8}));
+  // Numbers before strings.
+  EXPECT_EQ(where("v > 9007199254740992"), (Ids{4, 5, 6}));
+  EXPECT_EQ(where("v < '0'"), (Ids{1, 2, 3, 4, 7, 8}));
+  // The literal on the left.
+  EXPECT_EQ(where("5 < v"), (Ids{2, 3, 4, 5, 6}));
+  EXPECT_EQ(where("'grid' = v"), (Ids{5}));
 }
 
 }  // namespace

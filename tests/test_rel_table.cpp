@@ -70,13 +70,6 @@ TEST(Table, CompositeKeyIndex) {
   EXPECT_EQ(index->lookup(Key{{Value(std::int64_t{1}), Value("a")}}).size(), 1u);
 }
 
-TEST(Table, IndexOnResolvesByColumns) {
-  Table t = make_table();
-  t.create_hash_index("by_id", {"id"});
-  EXPECT_NE(t.index_on({0}), nullptr);
-  EXPECT_EQ(t.index_on({1}), nullptr);
-}
-
 TEST(Table, TruncateClearsRowsAndKeepsIndexDefinitions) {
   Table t = make_table();
   t.create_hash_index("by_id", {"id"});

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
 
 #include "util/thread_pool.hpp"
 
@@ -49,42 +48,6 @@ TEST(ThreadPool, SizeMatchesConstruction) {
 TEST(ThreadPool, DefaultSizeIsPositive) {
   ThreadPool pool;
   EXPECT_GE(pool.size(), 1u);
-}
-
-TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> counts(1000);
-  parallel_for(pool, 0, counts.size(),
-               [&](std::size_t i) { counts[i].fetch_add(1); });
-  for (const auto& c : counts) {
-    EXPECT_EQ(c.load(), 1);
-  }
-}
-
-TEST(ParallelFor, EmptyRangeIsNoop) {
-  ThreadPool pool(2);
-  bool touched = false;
-  parallel_for(pool, 5, 5, [&](std::size_t) { touched = true; });
-  EXPECT_FALSE(touched);
-}
-
-TEST(ParallelFor, ComputesSum) {
-  ThreadPool pool(4);
-  std::vector<long> values(10000);
-  std::iota(values.begin(), values.end(), 0L);
-  std::atomic<long> total{0};
-  parallel_for(pool, 0, values.size(),
-               [&](std::size_t i) { total.fetch_add(values[i]); });
-  EXPECT_EQ(total.load(), 10000L * 9999L / 2);
-}
-
-TEST(ParallelFor, PropagatesFirstException) {
-  ThreadPool pool(4);
-  EXPECT_THROW(parallel_for(pool, 0, 100,
-                            [&](std::size_t i) {
-                              if (i == 37) throw std::runtime_error("bad index");
-                            }),
-               std::runtime_error);
 }
 
 }  // namespace
