@@ -1,8 +1,8 @@
 #include "core/catalog.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
-#include <cstdio>
 #include <istream>
 #include <mutex>
 #include <ostream>
@@ -158,46 +158,24 @@ void MetadataCatalog::add_attribute_xml(ObjectId object, std::string_view attrib
   add_attribute(object, attribute_path, *content, owner);
 }
 
-AttrDefId MetadataCatalog::define_dynamic_attribute(
-    const std::string& name, const std::string& source,
-    const std::vector<DynamicElementSpec>& elements, Visibility visibility,
-    const std::string& owner) {
+AttrDefId MetadataCatalog::define_dynamic(AttrDefId parent, const std::string& name,
+                                          const std::string& source,
+                                          const std::vector<DynamicElementSpec>& elements,
+                                          Visibility visibility, const std::string& owner) {
   std::unique_lock lock(mutex_);
-  // Dynamic top-level definitions anchor at the first dynamic root's order.
+  // Dynamic top-level definitions anchor at the first dynamic root's order;
+  // sub-attributes sequence under their parent.
   OrderId order = kNoOrder;
-  for (const AttributeRootInfo& root : partition_.attribute_roots()) {
-    if (root.dynamic) {
-      order = root.order;
-      break;
+  if (parent == kNoAttr) {
+    for (const AttributeRootInfo& root : partition_.attribute_roots()) {
+      if (root.dynamic) {
+        order = root.order;
+        break;
+      }
     }
   }
   const AttrDefId id = registry_.define_attribute(name, source, AttrKind::kDynamic,
-                                                  kNoAttr, order, visibility, owner);
-  for (const DynamicElementSpec& elem : elements) {
-    registry_.define_element(elem.name, elem.source.empty() ? source : elem.source, id,
-                             elem.type);
-  }
-  bump_version();
-  MutationEvent event{MutationEvent::Kind::kDefine};
-  event.epoch = version();
-  event.attr = id;
-  event.parent = kNoAttr;
-  event.visibility = visibility;
-  event.name = name;
-  event.source = source;
-  event.owner = owner;
-  event.elements = &elements;
-  commit_locked(event);
-  return id;
-}
-
-AttrDefId MetadataCatalog::define_dynamic_sub_attribute(
-    AttrDefId parent, const std::string& name, const std::string& source,
-    const std::vector<DynamicElementSpec>& elements, Visibility visibility,
-    const std::string& owner) {
-  std::unique_lock lock(mutex_);
-  const AttrDefId id = registry_.define_attribute(name, source, AttrKind::kDynamic,
-                                                  parent, kNoOrder, visibility, owner);
+                                                  parent, order, visibility, owner);
   for (const DynamicElementSpec& elem : elements) {
     registry_.define_element(elem.name, elem.source.empty() ? source : elem.source, id,
                              elem.type);
@@ -362,31 +340,38 @@ std::vector<ObjectId> MetadataCatalog::query(const ObjectQuery& q,
   return query_at(guard.snapshot(), q, info);
 }
 
-namespace {
-
-// Continuation cursors are opaque on the wire but versioned inside:
-// "HXC1.<version-hex>.<resume-after-id-hex>". The version pin is what makes
-// pages coherent without holding a lock between requests — any mutation
-// bumps the epoch and invalidates outstanding cursors.
-std::string encode_cursor(std::uint64_t version, ObjectId after) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "HXC1.%llx.%llx",
-                static_cast<unsigned long long>(version),
-                static_cast<unsigned long long>(after));
-  return buf;
+std::string encode_cursor(std::uint64_t epoch, std::uint64_t after) {
+  std::string out = "HXC1";
+  append_hex_field(out, epoch);
+  append_hex_field(out, after);
+  return out;
 }
 
-bool decode_cursor(std::string_view cursor, std::uint64_t& version, ObjectId& after) {
-  if (cursor.rfind("HXC1.", 0) != 0) return false;
-  unsigned long long v = 0, a = 0;
-  char tail = 0;
-  if (std::sscanf(cursor.data() + 5, "%llx.%llx%c", &v, &a, &tail) != 2) return false;
-  version = v;
-  after = static_cast<ObjectId>(a);
+bool decode_cursor(std::string_view text, std::uint64_t& epoch, std::uint64_t& after) {
+  std::size_t pos = 4;
+  return text.starts_with("HXC1.") && take_hex_field(text, pos, epoch) &&
+         take_hex_field(text, pos, after) && pos == text.size();
+}
+
+void append_hex_field(std::string& out, std::uint64_t value) {
+  char buf[16];
+  const std::to_chars_result end = std::to_chars(buf, buf + sizeof buf, value, 16);
+  out += '.';
+  out.append(buf, end.ptr);
+}
+
+bool take_hex_field(std::string_view text, std::size_t& pos, std::uint64_t& value) {
+  if (pos >= text.size() || text[pos] != '.') return false;
+  const std::size_t end = std::min(text.find('.', pos + 1), text.size());
+  const std::string_view digits = text.substr(pos + 1, end - pos - 1);
+  if (digits.empty() || digits.size() > 16 ||
+      digits.find_first_not_of("0123456789abcdef") != std::string_view::npos) {
+    return false;
+  }
+  std::from_chars(digits.data(), digits.data() + digits.size(), value, 16);
+  pos = end;
   return true;
 }
-
-}  // namespace
 
 QueryPage MetadataCatalog::query_paged(const ObjectQuery& q, QueryPlanInfo* info) const {
   ReadGuard guard(*this);
@@ -407,7 +392,7 @@ QueryPage MetadataCatalog::query_paged_at(const CatalogSnapshot& snap,
   }
   if (!q.cursor().empty()) {
     std::uint64_t cursor_version = 0;
-    ObjectId after = 0;
+    std::uint64_t after = 0;
     if (!decode_cursor(q.cursor(), cursor_version, after)) {
       throw ValidationError("malformed continuation cursor");
     }
@@ -416,11 +401,12 @@ QueryPage MetadataCatalog::query_paged_at(const CatalogSnapshot& snap,
                              std::to_string(cursor_version) + " but the catalog is at " +
                              std::to_string(page.version));
     }
-    hits.erase(hits.begin(), std::upper_bound(hits.begin(), hits.end(), after));
+    hits.erase(hits.begin(), std::upper_bound(hits.begin(), hits.end(),
+                                              static_cast<ObjectId>(after)));
   }
   if (q.limit() > 0 && hits.size() > q.limit()) {
     hits.resize(q.limit());
-    page.next_cursor = encode_cursor(page.version, hits.back());
+    page.next_cursor = encode_cursor(page.version, static_cast<std::uint64_t>(hits.back()));
   }
   page.ids = std::move(hits);
   return page;

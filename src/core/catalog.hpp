@@ -86,6 +86,22 @@ struct QueryPage {
   std::uint64_t version = 0;
 };
 
+/// Continuation cursors are opaque on the wire but versioned inside:
+/// "HXC1.<epoch-hex>.<after-id-hex>". The epoch pin is what makes pages
+/// coherent without holding a lock between requests — any mutation bumps
+/// the epoch and invalidates outstanding cursors. Fields are 1-16 lowercase
+/// hex digits with no sign, prefix or whitespace; decode_cursor accepts
+/// exactly what encode_cursor emits. The federation router synthesizes
+/// shard cursors with the same codec.
+std::string encode_cursor(std::uint64_t epoch, std::uint64_t after);
+bool decode_cursor(std::string_view text, std::uint64_t& epoch, std::uint64_t& after);
+
+/// One ".<hex>" cursor field: append_hex_field writes it; take_hex_field
+/// reads it at `pos` (which must point at the dot) and requires the field
+/// to end at the next '.' or at the end of `text`.
+void append_hex_field(std::string& out, std::uint64_t value);
+bool take_hex_field(std::string_view text, std::size_t& pos, std::uint64_t& value);
+
 /// Declaration of one element of a dynamic attribute definition.
 struct DynamicElementSpec {
   std::string name;
@@ -195,14 +211,18 @@ class MetadataCatalog {
   AttrDefId define_dynamic_attribute(const std::string& name, const std::string& source,
                                      const std::vector<DynamicElementSpec>& elements = {},
                                      Visibility visibility = Visibility::kAdmin,
-                                     const std::string& owner = {});
+                                     const std::string& owner = {}) {
+    return define_dynamic(kNoAttr, name, source, elements, visibility, owner);
+  }
 
   /// Registers a dynamic sub-attribute under an existing definition.
   AttrDefId define_dynamic_sub_attribute(AttrDefId parent, const std::string& name,
                                          const std::string& source,
                                          const std::vector<DynamicElementSpec>& elements = {},
                                          Visibility visibility = Visibility::kAdmin,
-                                         const std::string& owner = {});
+                                         const std::string& owner = {}) {
+    return define_dynamic(parent, name, source, elements, visibility, owner);
+  }
 
   // ---- collections (containment context, §1/§7) ----
 
@@ -485,6 +505,12 @@ class MetadataCatalog {
   /// query_paged against one snapshot (see query_paged).
   QueryPage query_paged_at(const CatalogSnapshot& snap, const ObjectQuery& q,
                            QueryPlanInfo* info) const;
+  /// Shared body of define_dynamic_attribute (parent == kNoAttr: anchored
+  /// at the first dynamic root's order) and define_dynamic_sub_attribute.
+  AttrDefId define_dynamic(AttrDefId parent, const std::string& name,
+                           const std::string& source,
+                           const std::vector<DynamicElementSpec>& elements,
+                           Visibility visibility, const std::string& owner);
   void bump_version() noexcept {
     version_.fetch_add(1, std::memory_order_acq_rel);
   }

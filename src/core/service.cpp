@@ -145,13 +145,20 @@ const std::vector<std::string>& service_request_type_names() {
   return names;
 }
 
-namespace {
-
-std::string ok_response(std::uint64_t version, const std::string& payload) {
-  return "<catalogResponse status=\"ok\" protocol=\"" + std::to_string(kProtocolMajor) +
-         "\" version=\"" + std::to_string(version) + "\">" + payload +
-         "</catalogResponse>";
+std::string ok_response(std::uint64_t version, std::string_view payload) {
+  std::string out;
+  out.reserve(payload.size() + 96);  // envelope + closing tag: one allocation
+  out += "<catalogResponse status=\"ok\" protocol=\"";
+  out += std::to_string(kProtocolMajor);
+  out += "\" version=\"";
+  out += std::to_string(version);
+  out += "\">";
+  out += payload;
+  out += "</catalogResponse>";
+  return out;
 }
+
+namespace {
 
 /// L2 insert: files the serialized response under the raw request bytes in
 /// the segment of the snapshot that computed it. Entries inserted into a

@@ -123,6 +123,11 @@ class ServiceError : public std::runtime_error {
 /// a service call).
 std::string error_response(ErrorCode code, const std::string& message);
 
+/// Wraps `payload` in the ok envelope stamped with the catalog epoch — the
+/// one serializer of `<catalogResponse status="ok" ...>`, so a federated
+/// response is byte-identical to a single-node one with the same payload.
+std::string ok_response(std::uint64_t version, std::string_view payload);
+
 /// Serializes a query to its wire form (children of <catalogRequest>, plus
 /// limit/cursor attributes when set).
 std::string query_to_xml(const ObjectQuery& query);

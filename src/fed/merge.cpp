@@ -1,8 +1,6 @@
 #include "fed/merge.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "core/service.hpp"
 #include "util/string_util.hpp"
@@ -70,37 +68,6 @@ std::size_t matching_result_close(std::string_view s, std::size_t pos) {
   }
 }
 
-std::string hex(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof buf, "%llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
-/// Parses one dot-terminated (or end-terminated) hex field.
-bool take_hex(std::string_view s, std::size_t& pos, std::uint64_t& value) {
-  if (pos >= s.size()) return false;
-  std::uint64_t v = 0;
-  std::size_t digits = 0;
-  while (pos < s.size() && s[pos] != '.') {
-    const char c = s[pos];
-    std::uint64_t d = 0;
-    if (c >= '0' && c <= '9') {
-      d = static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      d = static_cast<std::uint64_t>(c - 'a') + 10;
-    } else {
-      return false;
-    }
-    v = (v << 4) | d;
-    ++pos;
-    ++digits;
-  }
-  if (digits == 0 || digits > 16) return false;
-  if (pos < s.size()) ++pos;  // swallow the dot
-  value = v;
-  return true;
-}
-
 }  // namespace
 
 std::optional<std::uint64_t> parse_count(std::string_view text) {
@@ -142,17 +109,6 @@ ParsedResponse parse_response(std::string_view response) {
                    "'");
   }
   return parsed;
-}
-
-std::string ok_envelope(std::uint64_t version, std::string_view payload) {
-  std::string out = "<catalogResponse status=\"ok\" protocol=\"";
-  out += std::to_string(core::kProtocolMajor);
-  out += "\" version=\"";
-  out += std::to_string(version);
-  out += "\">";
-  out += payload;
-  out += "</catalogResponse>";
-  return out;
 }
 
 QueryPayload parse_query_payload(std::string_view payload, bool ids_only) {
@@ -212,29 +168,24 @@ QueryPayload parse_query_payload(std::string_view payload, bool ids_only) {
 }
 
 std::string encode_fed_cursor(const FedCursor& cursor) {
-  std::string out = "HXF1.";
-  out += hex(cursor.shard_count);
-  out += '.';
-  out += hex(cursor.serving_mask);
-  out += '.';
-  out += hex(cursor.legs.size());
+  std::string out = "HXF1";
+  core::append_hex_field(out, cursor.shard_count);
+  core::append_hex_field(out, cursor.serving_mask);
+  core::append_hex_field(out, cursor.legs.size());
   for (const FedCursorLeg& leg : cursor.legs) {
-    out += '.';
-    out += hex(leg.shard);
-    out += '.';
-    out += hex(leg.epoch);
-    out += '.';
-    out += hex(leg.after_lid);
+    core::append_hex_field(out, leg.shard);
+    core::append_hex_field(out, leg.epoch);
+    core::append_hex_field(out, leg.after_lid);
   }
   return out;
 }
 
 bool decode_fed_cursor(std::string_view text, FedCursor& cursor) {
-  if (text.rfind("HXF1.", 0) != 0) return false;
-  std::size_t pos = 5;
+  if (!text.starts_with("HXF1.")) return false;
+  std::size_t pos = 4;
   std::uint64_t shards = 0, mask = 0, count = 0;
-  if (!take_hex(text, pos, shards) || !take_hex(text, pos, mask) ||
-      !take_hex(text, pos, count)) {
+  if (!core::take_hex_field(text, pos, shards) || !core::take_hex_field(text, pos, mask) ||
+      !core::take_hex_field(text, pos, count)) {
     return false;
   }
   if (shards == 0 || shards > 64 || count > shards) return false;
@@ -244,8 +195,9 @@ bool decode_fed_cursor(std::string_view text, FedCursor& cursor) {
   for (std::uint64_t i = 0; i < count; ++i) {
     FedCursorLeg leg;
     std::uint64_t shard = 0;
-    if (!take_hex(text, pos, shard) || !take_hex(text, pos, leg.epoch) ||
-        !take_hex(text, pos, leg.after_lid)) {
+    if (!core::take_hex_field(text, pos, shard) ||
+        !core::take_hex_field(text, pos, leg.epoch) ||
+        !core::take_hex_field(text, pos, leg.after_lid)) {
       return false;
     }
     if (shard >= shards) return false;
@@ -253,10 +205,6 @@ bool decode_fed_cursor(std::string_view text, FedCursor& cursor) {
     cursor.legs.push_back(leg);
   }
   return pos == text.size();
-}
-
-std::string encode_shard_cursor(std::uint64_t epoch, std::uint64_t after_lid) {
-  return "HXC1." + hex(epoch) + "." + hex(after_lid);
 }
 
 MergeOutput merge_query_pages(const std::vector<MergeInput>& inputs,

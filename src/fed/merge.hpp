@@ -26,6 +26,8 @@
 #include <string_view>
 #include <vector>
 
+#include "core/service.hpp"
+
 namespace hxrc::fed {
 
 /// A shard response that cannot be merged (malformed envelope, mangled
@@ -80,10 +82,9 @@ struct ParsedResponse {
 /// Throws FedError when the envelope is not recognizable.
 ParsedResponse parse_response(std::string_view response);
 
-/// Rebuilds the ok envelope exactly as core::ok_response serializes it, so
-/// a router response is byte-identical to a single-node response carrying
-/// the same payload.
-std::string ok_envelope(std::uint64_t version, std::string_view payload);
+/// The service layer's ok envelope, so a router response is byte-identical
+/// to a single-node response carrying the same payload.
+inline constexpr auto& ok_envelope = core::ok_response;
 
 // ---------------------------------------------------------------------------
 // Query / queryIds payloads.
@@ -127,13 +128,10 @@ struct FedCursor {
   std::vector<FedCursorLeg> legs;
 };
 
-/// "HXF1.<shards>.<mask>.<legs>(.<shard>.<epoch>.<after>)*" — hex fields.
+/// "HXF1.<shards>.<mask>.<legs>(.<shard>.<epoch>.<after>)*" — hex fields
+/// in the shard cursors' strict format (core::take_hex_field).
 std::string encode_fed_cursor(const FedCursor& cursor);
 bool decode_fed_cursor(std::string_view text, FedCursor& cursor);
-
-/// Synthesizes the single-shard continuation cursor a shard itself would
-/// have issued: "HXC1.<epoch-hex>.<after-hex>".
-std::string encode_shard_cursor(std::uint64_t epoch, std::uint64_t after_lid);
 
 // ---------------------------------------------------------------------------
 // Merging.

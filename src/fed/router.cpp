@@ -15,19 +15,26 @@ using core::peek_request_attr;
 
 namespace {
 
-std::string shard_list(std::vector<std::uint32_t> shards) {
+/// The degraded-answer annotation naming the shards that did not answer.
+std::string partial_note(std::vector<std::uint32_t> shards) {
   std::sort(shards.begin(), shards.end());
-  std::string out;
-  for (const std::uint32_t s : shards) {
-    if (!out.empty()) out += ',';
-    out += std::to_string(s);
+  std::string out = "<partial code=\"partial\" shards=\"";
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    if (i > 0) out += ',';
+    out += std::to_string(shards[i]);
   }
-  return out;
+  return out + "\"/>";
 }
 
 std::string unreachable_error(std::uint32_t shard) {
   return error_response(ErrorCode::kUnavailable,
                         "shard " + std::to_string(shard) + " is unreachable");
+}
+
+std::string serving_set_changed(std::uint32_t shard) {
+  return error_response(ErrorCode::kStaleCursor,
+                        "the serving set changed under the cursor (shard " +
+                            std::to_string(shard) + "); restart the query");
 }
 
 }  // namespace
@@ -166,16 +173,10 @@ std::string FederationRouter::handle(const std::string& request_xml) {
     }
     // Unknown / missing type (and malformed XML): let a real service layer
     // produce the canonical parse/validation error.
-    try {
-      return call_endpoint(shards_[0]->primary, request_xml);
-    } catch (const net::SocketError&) {
-      return unreachable_error(0);
-    }
+    return call_shard(0, request_xml, /*read=*/false);
   } catch (const FedError& e) {
     return error_response(ErrorCode::kValidation,
                           std::string("federation: ") + e.what());
-  } catch (const net::SocketError& e) {
-    return error_response(ErrorCode::kUnavailable, e.what());
   } catch (const std::exception& e) {
     return error_response(ErrorCode::kValidation, e.what());
   }
@@ -189,12 +190,7 @@ std::string FederationRouter::handle_ingest(const std::string& request_xml) {
                          round_robin_.fetch_add(1, std::memory_order_relaxed) %
                          nshards)
                    : placement_shard(name, nshards);
-  std::string response;
-  try {
-    response = call_endpoint(shards_[shard]->primary, request_xml);
-  } catch (const net::SocketError&) {
-    return unreachable_error(shard);
-  }
+  const std::string response = call_shard(shard, request_xml, /*read=*/false);
   const ParsedResponse parsed = parse_response(response);
   if (!parsed.ok) return response;
   // Payload is exactly <objectID>lid</objectID>; rewrite to the gid.
@@ -217,52 +213,13 @@ std::string FederationRouter::handle_point_op(const std::string& request_xml,
   const std::uint32_t nshards = shard_count();
   const std::optional<std::uint64_t> gid =
       parse_count(peek_request_attr(request_xml, "objectID"));
-  if (!gid) {
-    // Missing or malformed id: forward for the canonical validation error.
-    try {
-      return call_endpoint(shards_[0]->primary, request_xml);
-    } catch (const net::SocketError&) {
-      return unreachable_error(0);
-    }
-  }
+  // Missing or malformed id: forward for the canonical validation error.
+  if (!gid) return call_shard(0, request_xml, /*read=*/false);
   const std::uint32_t shard = shard_of(*gid, nshards);
-  const std::uint64_t lid = lid_of(*gid, nshards);
-  const std::string shard_request =
-      rewrite_root_attr(request_xml, "objectID", std::to_string(lid));
   const bool read = type == "fetch";
-
-  std::string response;
-  bool served = false;
-  if (read) {
-    bool replica = false;
-    Endpoint* ep = pick_read_endpoint(shard, replica);
-    if (ep != nullptr) {
-      try {
-        response = call_endpoint(*ep, shard_request);
-        served = true;
-      } catch (const net::SocketError&) {
-      }
-    }
-    if (!served) {
-      // The primary just died (or was already dead): one failover attempt.
-      Endpoint* alt = pick_read_endpoint(shard, replica);
-      if (alt != nullptr && alt != ep) {
-        try {
-          response = call_endpoint(*alt, shard_request);
-          served = true;
-        } catch (const net::SocketError&) {
-        }
-      }
-    }
-  } else {
-    // Mutations only ever touch the primary — a replica is read-only.
-    try {
-      response = call_endpoint(shards_[shard]->primary, shard_request);
-      served = true;
-    } catch (const net::SocketError&) {
-    }
-  }
-  if (!served) return unreachable_error(shard);
+  const std::string response = call_shard(
+      shard, rewrite_root_attr(request_xml, "objectID", std::to_string(lid_of(*gid, nshards))),
+      read);
 
   const ParsedResponse parsed = parse_response(response);
   if (!parsed.ok) {
@@ -295,14 +252,7 @@ std::string FederationRouter::handle_define(const std::string& request_xml) {
   std::string first_payload;
   std::uint64_t version = 0;
   for (std::uint32_t shard = 0; shard < shard_count(); ++shard) {
-    std::string response;
-    try {
-      response = call_endpoint(shards_[shard]->primary, request_xml);
-    } catch (const net::SocketError&) {
-      return error_response(ErrorCode::kUnavailable,
-                            "shard " + std::to_string(shard) +
-                                " is unreachable; define must reach every shard");
-    }
+    const std::string response = call_shard(shard, request_xml, /*read=*/false);
     const ParsedResponse parsed = parse_response(response);
     if (!parsed.ok) return response;
     version = std::max(version, parsed.version);
@@ -327,10 +277,8 @@ std::string FederationRouter::scatter_query(const std::string& request_xml,
   FedCursor fed;
   bool resuming = false;
   if (!cursor_text.empty()) {
-    if (cursor_text.rfind("HXF1.", 0) != 0 ||
-        !decode_fed_cursor(cursor_text, fed)) {
-      return error_response(ErrorCode::kValidation,
-                            "malformed continuation cursor");
+    if (!decode_fed_cursor(cursor_text, fed)) {
+      return error_response(ErrorCode::kValidation, "malformed continuation cursor");
     }
     if (fed.shard_count != nshards) {
       return error_response(ErrorCode::kStaleCursor,
@@ -343,48 +291,25 @@ std::string FederationRouter::scatter_query(const std::string& request_xml,
   }
 
   std::vector<Leg> legs;
-  std::vector<std::uint32_t> missing;
-  std::uint64_t serving_mask = 0;
+  std::vector<std::string> leg_requests;  // resuming: one rewritten request per leg
   if (resuming) {
+    leg_requests.reserve(fed.legs.size());  // legs view these strings: no reallocation
     for (const FedCursorLeg& fl : fed.legs) {
-      bool replica = false;
-      Endpoint* ep = pick_read_endpoint(fl.shard, replica);
-      const bool was_replica = ((fed.serving_mask >> fl.shard) & 1) != 0;
-      if (ep == nullptr || replica != was_replica) {
-        return error_response(ErrorCode::kStaleCursor,
-                              "the serving set changed under the cursor "
-                              "(shard " + std::to_string(fl.shard) +
-                                  "); restart the query");
-      }
-      Leg leg;
+      Leg& leg = legs.emplace_back();
       leg.shard = fl.shard;
-      leg.ep = ep;
-      leg.replica = replica;
+      leg.ep = pick_read_endpoint(fl.shard, leg.replica);
+      if (leg.ep == nullptr || leg.replica != (((fed.serving_mask >> fl.shard) & 1) != 0)) {
+        return serving_set_changed(fl.shard);
+      }
       // A leg that consumed nothing re-runs from the start (empty cursor);
       // its epoch pin is re-verified below against the response version.
-      leg.request = rewrite_root_attr(
+      leg.request = leg_requests.emplace_back(rewrite_root_attr(
           request_xml, "cursor",
           fl.after_lid == kNoLid ? std::string()
-                                 : encode_shard_cursor(fl.epoch, fl.after_lid));
-      if (replica) serving_mask |= std::uint64_t{1} << fl.shard;
-      legs.push_back(std::move(leg));
+                                 : core::encode_cursor(fl.epoch, fl.after_lid)));
     }
   } else {
-    for (std::uint32_t shard = 0; shard < nshards; ++shard) {
-      bool replica = false;
-      Endpoint* ep = pick_read_endpoint(shard, replica);
-      if (ep == nullptr) {
-        missing.push_back(shard);
-        continue;
-      }
-      Leg leg;
-      leg.shard = shard;
-      leg.ep = ep;
-      leg.replica = replica;
-      leg.request = request_xml;
-      if (replica) serving_mask |= std::uint64_t{1} << shard;
-      legs.push_back(std::move(leg));
-    }
+    legs = read_legs(request_xml);
     if (legs.empty()) {
       return error_response(ErrorCode::kUnavailable, "no shard is reachable");
     }
@@ -393,31 +318,25 @@ std::string FederationRouter::scatter_query(const std::string& request_xml,
   run_legs(legs, /*reads=*/true);
 
   std::vector<MergeInput> inputs;
+  std::vector<std::uint32_t> missing;
   std::uint64_t version = 0;
-  for (Leg& leg : legs) {
+  std::uint64_t serving_mask = 0;
+  for (std::size_t i = 0; i < legs.size(); ++i) {
+    Leg& leg = legs[i];
     if (leg.failed) {
-      if (resuming) {
-        return error_response(ErrorCode::kStaleCursor,
-                              "the serving set changed under the cursor "
-                              "(shard " + std::to_string(leg.shard) +
-                                  "); restart the query");
-      }
+      if (resuming) return serving_set_changed(leg.shard);
       missing.push_back(leg.shard);
       continue;
     }
     const ParsedResponse parsed = parse_response(leg.response);
     if (!parsed.ok) return std::move(leg.response);  // stale_cursor et al.
-    if (resuming) {
-      for (const FedCursorLeg& fl : fed.legs) {
-        if (fl.shard != leg.shard || fl.after_lid != kNoLid) continue;
-        if (parsed.version != fl.epoch) {
-          return error_response(
-              ErrorCode::kStaleCursor,
-              "cursor was issued at catalog version " + std::to_string(fl.epoch) +
-                  " but shard " + std::to_string(leg.shard) + " is at " +
-                  std::to_string(parsed.version));
-        }
-      }
+    // Resumed legs follow fed.legs' order; a cursor-less one checks its pin.
+    if (resuming && fed.legs[i].after_lid == kNoLid && parsed.version != fed.legs[i].epoch) {
+      return error_response(ErrorCode::kStaleCursor,
+                            "cursor was issued at catalog version " +
+                                std::to_string(fed.legs[i].epoch) + " but shard " +
+                                std::to_string(leg.shard) + " is at " +
+                                std::to_string(parsed.version));
     }
     MergeInput in;
     in.shard = leg.shard;
@@ -436,8 +355,7 @@ std::string FederationRouter::scatter_query(const std::string& request_xml,
   if (!missing.empty()) {
     // Degraded: answer with what the live shards returned, annotated. No
     // cursor — a partial page cannot promise a coherent continuation.
-    payload += "<partial code=\"partial\" shards=\"" +
-               shard_list(std::move(missing)) + "\"/>";
+    payload += partial_note(std::move(missing));
   } else if (merged.truncated) {
     FedCursor next;
     next.shard_count = nshards;
@@ -449,28 +367,14 @@ std::string FederationRouter::scatter_query(const std::string& request_xml,
 }
 
 std::string FederationRouter::scatter_stats(const std::string& request_xml) {
-  std::vector<Leg> legs;
-  std::vector<std::uint32_t> missing;
-  for (std::uint32_t shard = 0; shard < shard_count(); ++shard) {
-    bool replica = false;
-    Endpoint* ep = pick_read_endpoint(shard, replica);
-    if (ep == nullptr) {
-      missing.push_back(shard);
-      continue;
-    }
-    Leg leg;
-    leg.shard = shard;
-    leg.ep = ep;
-    leg.replica = replica;
-    leg.request = request_xml;
-    legs.push_back(std::move(leg));
-  }
+  std::vector<Leg> legs = read_legs(request_xml);
   if (legs.empty()) {
     return error_response(ErrorCode::kUnavailable, "no shard is reachable");
   }
   run_legs(legs, /*reads=*/true);
 
   std::vector<ShardStatsInput> inputs;
+  std::vector<std::uint32_t> missing;
   std::uint64_t version = 0;
   for (Leg& leg : legs) {
     if (leg.failed) {
@@ -490,10 +394,7 @@ std::string FederationRouter::scatter_stats(const std::string& request_xml) {
     return error_response(ErrorCode::kUnavailable, "no shard is reachable");
   }
   std::string payload = merge_stats_payload(inputs);
-  if (!missing.empty()) {
-    payload += "<partial code=\"partial\" shards=\"" +
-               shard_list(std::move(missing)) + "\"/>";
-  }
+  if (!missing.empty()) payload += partial_note(std::move(missing));
   return ok_envelope(version, payload);
 }
 
@@ -523,91 +424,84 @@ FederationRouter::Endpoint* FederationRouter::pick_read_endpoint(
   return &s.replica;
 }
 
-std::string FederationRouter::call_endpoint(Endpoint& ep,
-                                            const std::string& request) {
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    std::unique_ptr<net::BlockingClient> client;
-    try {
-      // Second attempt forces a fresh dial: pooled connections go stale
-      // when the shard restarts between requests.
-      client = ep.checkout(attempt > 0);
-    } catch (const net::SocketError&) {
-      ep.alive.store(false, std::memory_order_release);
-      throw;
-    }
-    try {
-      std::string response = client->call(request);
-      ep.checkin(std::move(client));
-      ep.alive.store(true, std::memory_order_release);
-      note_version(ep, response);
-      return response;
-    } catch (const net::SocketError&) {
-      if (attempt > 0) {
-        ep.alive.store(false, std::memory_order_release);
-        throw;
-      }
-    }
+std::vector<FederationRouter::Leg> FederationRouter::read_legs(std::string_view request) {
+  std::vector<Leg> legs(shards_.size());
+  bool any = false;
+  for (std::uint32_t shard = 0; shard < legs.size(); ++shard) {
+    Leg& leg = legs[shard];
+    leg.shard = shard;
+    leg.request = request;
+    leg.ep = pick_read_endpoint(shard, leg.replica);
+    any = any || leg.ep != nullptr;
   }
-  throw net::SocketError("unreachable");  // not reached
+  if (!any) legs.clear();
+  return legs;
 }
 
-void FederationRouter::run_legs(std::vector<Leg>& legs, bool reads) {
+std::string FederationRouter::call_shard(std::uint32_t shard, std::string_view request,
+                                         bool read) {
+  Leg leg;
+  leg.shard = shard;
+  leg.request = request;
+  // Mutations only ever touch the primary — a replica is read-only.
+  leg.ep = read ? pick_read_endpoint(shard, leg.replica) : &shards_[shard]->primary;
+  run_legs({&leg, 1}, read);
+  return leg.failed ? unreachable_error(shard) : std::move(leg.response);
+}
+
+void FederationRouter::run_legs(std::span<Leg> legs, bool reads) {
   // Send phase: one request down every shard's pipe before any response is
   // awaited, so the shards evaluate concurrently.
+  for (Leg& leg : legs) {
+    if (leg.ep == nullptr) continue;
+    try {
+      leg.client = leg.ep->checkout(false);
+      leg.client->send_request(leg.request);
+    } catch (const net::SocketError&) {
+      leg.client.reset();  // the receive phase dials afresh
+    }
+  }
+  // One exchange on leg.ep: finishes the send phase's pooled call, or, when
+  // there is none, dials a fresh connection. Success revives the endpoint
+  // and records its epoch.
+  const auto exchange = [](Leg& leg) {
+    try {
+      if (leg.client == nullptr) {
+        leg.client = leg.ep->checkout(true);
+        leg.client->send_request(leg.request);
+      }
+      leg.response = std::move(leg.client->recv_frame().payload);
+    } catch (const net::SocketError&) {
+      leg.client.reset();
+      return false;
+    }
+    leg.ep->checkin(std::move(leg.client));
+    leg.ep->alive.store(true, std::memory_order_release);
+    if (const auto version = parse_count(peek_request_attr(leg.response, "version"))) {
+      leg.ep->version.store(*version, std::memory_order_relaxed);
+    }
+    return true;
+  };
+  // Receive phase. A failed pooled call gets one fresh dial on the same
+  // endpoint (pooled connections go stale when a shard restarts); if that
+  // fails too the endpoint is dead, and a read gets one attempt on the
+  // shard's other endpoint before the leg fails.
   for (Leg& leg : legs) {
     if (leg.ep == nullptr) {
       leg.failed = true;
       continue;
     }
-    try {
-      leg.client = leg.ep->checkout(false);
-      leg.client->send_request(leg.request);
-    } catch (const net::SocketError&) {
-      leg.client.reset();  // retried synchronously in the receive phase
+    if ((leg.client != nullptr && exchange(leg)) || exchange(leg)) continue;
+    leg.ep->alive.store(false, std::memory_order_release);
+    bool replica = false;
+    Endpoint* alt = reads ? pick_read_endpoint(leg.shard, replica) : nullptr;
+    if (alt != nullptr && alt != leg.ep) {
+      leg.ep = alt;
+      leg.replica = replica;
+      if (exchange(leg)) continue;
+      alt->alive.store(false, std::memory_order_release);
     }
-  }
-  // Receive phase.
-  for (Leg& leg : legs) {
-    if (leg.failed) continue;
-    bool served = false;
-    if (leg.client != nullptr) {
-      try {
-        net::Frame frame = leg.client->recv_frame();
-        leg.response = std::move(frame.payload);
-        note_version(*leg.ep, leg.response);
-        leg.ep->checkin(std::move(leg.client));
-        served = true;
-      } catch (const net::SocketError&) {
-        leg.client.reset();
-      }
-    }
-    if (!served) {
-      try {
-        leg.response = call_endpoint(*leg.ep, leg.request);
-        served = true;
-      } catch (const net::SocketError&) {
-      }
-    }
-    if (!served && reads) {
-      bool replica = false;
-      Endpoint* alt = pick_read_endpoint(leg.shard, replica);
-      if (alt != nullptr && alt != leg.ep) {
-        try {
-          leg.response = call_endpoint(*alt, leg.request);
-          leg.ep = alt;
-          leg.replica = replica;
-          served = true;
-        } catch (const net::SocketError&) {
-        }
-      }
-    }
-    leg.failed = !served;
-  }
-}
-
-void FederationRouter::note_version(Endpoint& ep, const std::string& response) {
-  if (const auto version = parse_count(peek_request_attr(response, "version"))) {
-    ep.version.store(*version, std::memory_order_relaxed);
+    leg.failed = true;
   }
 }
 
@@ -624,11 +518,10 @@ void FederationRouter::probe_loop() {
     for (const std::unique_ptr<Shard>& shard : shards_) {
       for (Endpoint* ep : {&shard->primary, &shard->replica}) {
         if (!ep->configured()) continue;
-        try {
-          call_endpoint(*ep, probe);  // marks alive + records the epoch
-        } catch (const net::SocketError&) {
-          // call_endpoint already marked it dead.
-        }
+        Leg leg;
+        leg.ep = ep;
+        leg.request = probe;
+        run_legs({&leg, 1}, /*reads=*/false);  // revives or kills ep, records the epoch
         if (stop_.load(std::memory_order_acquire)) return;
       }
     }

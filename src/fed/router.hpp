@@ -22,9 +22,13 @@
 //   * anything else    → forwarded to shard 0 verbatim.
 //
 // Failure handling: every endpoint (primary and optional replica per
-// shard) carries a liveness flag. A failed call marks it dead after one
-// fresh-connection retry; a background prober revives it. Reads fail over
-// to the shard's replica when the primary is dead and the replica's
+// shard) carries a liveness flag, and every shard call — scatter leg,
+// point op, ingest, define, forward, probe — runs through run_legs, which
+// applies one rule: a failed pooled call gets one fresh dial on the same
+// endpoint; if that fails the endpoint is marked dead and a read gets one
+// attempt on the shard's other endpoint (pick_read_endpoint). Any success
+// marks the endpoint alive, so the background prober revives dead ones.
+// Reads go to the replica when the primary is dead and the replica's
 // applied epoch is within `max_replica_staleness` of the primary's last
 // known epoch. Mutations never fail over (the replica is read-only by
 // construction). A scatter leg with no reachable endpoint degrades the
@@ -38,7 +42,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -122,13 +128,14 @@ class FederationRouter : public core::RequestBroker {
     Endpoint replica;
   };
 
-  /// One scatter leg in flight.
+  /// One shard call in flight. `request` views the caller's bytes, which
+  /// must outlive run_legs.
   struct Leg {
     std::uint32_t shard = 0;
     Endpoint* ep = nullptr;
     bool replica = false;
     std::unique_ptr<net::BlockingClient> client;
-    std::string request;
+    std::string_view request;
     std::string response;
     bool failed = false;
   };
@@ -146,18 +153,20 @@ class FederationRouter : public core::RequestBroker {
   /// choice.
   Endpoint* pick_read_endpoint(std::uint32_t shard, bool& replica_out);
 
-  /// One request/response against one endpoint, with a single
-  /// fresh-connection retry (pooled connections go stale when a shard
-  /// restarts). Marks the endpoint dead and rethrows on failure; records
-  /// the response's epoch on success.
-  std::string call_endpoint(Endpoint& ep, const std::string& request);
+  /// One read leg per shard on its pick_read_endpoint choice (nullptr when
+  /// none serves; run_legs fails that leg). Empty when no shard serves.
+  std::vector<Leg> read_legs(std::string_view request);
 
-  /// Sends every leg, then receives every leg (shard-side work overlaps).
-  /// A failed read leg retries on the shard's other endpoint; `failed`
-  /// stays set when no endpoint answered.
-  void run_legs(std::vector<Leg>& legs, bool reads);
+  /// One-leg call on `shard`: a read on pick_read_endpoint's choice, a
+  /// mutation on the primary. Returns the shard's response, or
+  /// code="unavailable" naming the shard.
+  std::string call_shard(std::uint32_t shard, std::string_view request, bool read);
 
-  void note_version(Endpoint& ep, const std::string& response);
+  /// The only code that talks to a shard. Sends every leg, then receives
+  /// every leg (shard-side work overlaps), applying the retry/failover rule
+  /// above to each; `failed` is set on legs no endpoint answered.
+  void run_legs(std::span<Leg> legs, bool reads);
+
   void probe_loop();
 
   RouterOptions options_;

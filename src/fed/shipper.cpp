@@ -23,24 +23,6 @@ namespace {
 /// framing, small enough that a replica ack cadence exists mid-catch-up.
 constexpr std::size_t kCatchupChunkBytes = std::size_t{4} << 20;
 
-std::uint32_t read_u32le(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<std::uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-/// Byte offset of 0-based record `index` inside a WAL file image whose
-/// frame run starts at `pos` (after the magic). The caller guarantees
-/// `index` records exist (it scanned first).
-std::size_t record_offset(std::string_view file, std::size_t pos, std::uint64_t index) {
-  for (std::uint64_t i = 0; i < index; ++i) {
-    pos += 8 + read_u32le(file.data() + pos);
-  }
-  return pos;
-}
-
 }  // namespace
 
 WalShipper::WalShipper(storage::DurableCatalog& durable, ShipperOptions options,
@@ -188,23 +170,22 @@ void WalShipper::ship_session() {
     const std::string file =
         fs_.read_file(durable_.data_dir() + "/" + storage::wal_name(seq));
     const storage::WalScan scan = storage::scan_wal(file);
-    if (scan.records.size() > start_lsn) {
-      std::size_t pos = record_offset(file, sizeof storage::kWalMagic, start_lsn);
-      std::uint64_t lsn = start_lsn + 1;
-      while (pos < scan.valid_bytes) {
-        std::size_t end = pos;
-        std::uint64_t count = 0;
-        while (end < scan.valid_bytes &&
-               (end == pos || end - pos < kCatchupChunkBytes)) {
-          end += 8 + read_u32le(file.data() + end);
-          ++count;
-        }
-        client.send_frame(
-            net::FrameType::kWalShip, 0,
-            encode_chunk(seq, lsn, std::string_view(file.data() + pos, end - pos)));
-        lsn += count;
-        pos = end;
+    // Record i's frame ends where its payload view into `file` ends.
+    const auto frame_end = [&](std::uint64_t i) {
+      const std::string_view payload = scan.records[i].payload;
+      return static_cast<std::size_t>(payload.data() + payload.size() - file.data());
+    };
+    for (std::uint64_t sent = start_lsn; sent < scan.records.size();) {
+      const std::size_t pos = sent == 0 ? sizeof storage::kWalMagic : frame_end(sent - 1);
+      std::uint64_t next = sent + 1;
+      while (next < scan.records.size() && frame_end(next - 1) - pos < kCatchupChunkBytes) {
+        ++next;
       }
+      client.send_frame(net::FrameType::kWalShip, 0,
+                        encode_chunk(seq, sent + 1,
+                                     std::string_view(file).substr(
+                                         pos, frame_end(next - 1) - pos)));
+      sent = next;
     }
   }
 

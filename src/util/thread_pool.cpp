@@ -23,6 +23,14 @@ ThreadPool::~ThreadPool() {
   for (auto& worker : workers_) worker.join();
 }
 
+void ThreadPool::submit(std::function<void()> task) {
+  {
+    std::lock_guard lock(mutex_);
+    queue_.push(std::move(task));
+  }
+  cv_.notify_one();
+}
+
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;

@@ -8,11 +8,9 @@
 #include <condition_variable>
 #include <cstddef>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <queue>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace hxrc::util {
@@ -30,19 +28,11 @@ class ThreadPool {
 
   std::size_t size() const noexcept { return workers_.size(); }
 
-  /// Enqueue a task; the returned future observes its result or exception.
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> result = task->get_future();
-    {
-      std::lock_guard lock(mutex_);
-      queue_.emplace([task] { (*task)(); });
-    }
-    cv_.notify_one();
-    return result;
-  }
+  /// Enqueues a task. Tasks must not throw: nothing observes a task's
+  /// result, so each task answers its own caller (the dispatcher and the
+  /// router catch every request failure into an error response), and an
+  /// exception escaping a task terminates the process.
+  void submit(std::function<void()> task);
 
   /// Blocks until every task submitted so far has finished.
   void wait_idle();

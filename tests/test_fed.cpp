@@ -1008,6 +1008,188 @@ TEST(Router, FailoverServesReadsFromReplicaAndStalesCursors) {
   std::filesystem::remove_all(dir);
 }
 
+/// Two shards behind a router: shard 0's durable primary ships its WAL to
+/// a live read replica, shard 1 is a plain in-memory shard.
+struct ReplicatedCluster {
+  explicit ReplicatedCluster(const std::string& dir)
+      : primary(dir),
+        primary_dispatcher(primary.catalog, dispatcher_config(2, 64)),
+        replica_dispatcher(replica.catalog, dispatcher_config(2, 64, true)),
+        shipper(*primary.durable, ship_to(replica)) {
+    replica.catalog.set_replication_state(&replica.listener.state());
+    net::ServerConfig net_config;
+    net_config.port = 0;
+    primary_server = std::make_unique<net::CatalogServer>(primary_dispatcher, net_config);
+    primary_server->start();
+    replica_server = std::make_unique<net::CatalogServer>(replica_dispatcher, net_config);
+    replica_server->start();
+    shipper.start();
+
+    RouterOptions options;
+    ShardEndpoint shard0;
+    shard0.primary_port = primary_server->port();
+    shard0.replica_host = "127.0.0.1";
+    shard0.replica_port = replica_server->port();
+    ShardEndpoint shard1;
+    shard1.primary_port = plain.server->port();
+    options.shards = {shard0, shard1};
+    options.workers = 2;
+    options.io_timeout_ms = 2000;
+    options.probe_interval_ms = 0;
+    router = std::make_unique<FederationRouter>(std::move(options));
+  }
+
+  ~ReplicatedCluster() {
+    router.reset();
+    shipper.stop();
+    replica.listener.stop();
+    primary.durable->close();
+  }
+
+  /// True once the replica has applied everything the primary published.
+  bool replica_caught_up() {
+    primary.durable->flush();
+    return wait_until([&] {
+      const Published seen = published(replica.catalog);
+      const Published want = published(primary.catalog);
+      return seen.objects == want.objects && seen.epoch == want.epoch;
+    });
+  }
+
+  PrimaryProcess primary;
+  ReplicaProcess replica;
+  core::ServiceDispatcher primary_dispatcher;
+  core::ServiceDispatcher replica_dispatcher;
+  std::unique_ptr<net::CatalogServer> primary_server;
+  std::unique_ptr<net::CatalogServer> replica_server;
+  WalShipper shipper;
+  FedShard plain;
+  std::unique_ptr<FederationRouter> router;
+};
+
+/// The first "doc-<i>" name whose placement is `shard`.
+std::string name_on_shard(std::uint32_t shard, std::uint32_t nshards) {
+  for (int i = 0;; ++i) {
+    const std::string name = "doc-" + std::to_string(i);
+    if (placement_shard(name, nshards) == shard) return name;
+  }
+}
+
+TEST(Router, DeadPrimaryServesEveryReadFromTheReplicaAndRefusesEveryMutation) {
+  const std::string dir = temp_dir("one_rule");
+  {
+    ReplicatedCluster cluster(dir);
+    std::vector<std::uint64_t> gids;
+    for (int i = 0; i < 6; ++i) {
+      const std::string response = cluster.router->route(ingest_request({}));
+      ASSERT_EQ(status_of(response), "ok") << response;
+      gids.push_back(std::stoull(
+          std::string(xml::parse(response).root->child_text("objectID"))));
+    }
+    std::sort(gids.begin(), gids.end());
+    ASSERT_TRUE(cluster.replica_caught_up());
+    const std::uint64_t shard0_gid = gids[0];
+    ASSERT_EQ(shard_of(shard0_gid, 2), 0u);
+
+    cluster.primary_server->shutdown();  // hard kill of shard 0's primary
+    cluster.primary_server.reset();
+
+    struct Case {
+      std::string type;
+      std::string request;
+      bool read;
+      /// Reads: a fragment of the replica-served answer.
+      std::string expect;
+    };
+    const std::string gid_text = std::to_string(shard0_gid);
+    const std::vector<Case> cases = {
+        {"fetch", fetch_request(shard0_gid), true, "<result objectID=\"" + gid_text + "\">"},
+        {"queryIds", theme_query_wire(true), true, "<objectID>" + gid_text + "</objectID>"},
+        {"stats", "<catalogRequest type=\"stats\"/>", true,
+         "<shard index=\"0\" endpoint=\"replica\""},
+        {"ingest", ingest_request(name_on_shard(0, 2)), false, {}},
+        {"delete", "<catalogRequest type=\"delete\" objectID=\"" + gid_text + "\"/>", false,
+         {}},
+        {"define", "<catalogRequest type=\"define\" name=\"n\" source=\"s\"/>", false, {}},
+        {"unknown type", "<catalogRequest type=\"frobnicate\"/>", false, {}},
+    };
+    for (const Case& c : cases) {
+      SCOPED_TRACE(c.type);
+      const std::string response = cluster.router->route(c.request);
+      if (c.read) {
+        ASSERT_EQ(status_of(response), "ok") << response;
+        EXPECT_EQ(response.find("<partial"), std::string::npos) << response;
+        EXPECT_NE(response.find(c.expect), std::string::npos) << response;
+      } else {
+        EXPECT_EQ(code_of(response), "unavailable") << response;
+        EXPECT_NE(response.find("shard 0 is unreachable"), std::string::npos) << response;
+      }
+    }
+    // The replica's answer is complete: every gid, shard 0's included.
+    EXPECT_EQ(ids_of(cluster.router->route(theme_query_wire(true))), gids);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Router, RestartedShardIsReachedThroughOneFreshDial) {
+  FedCluster cluster(2);
+  std::vector<std::uint64_t> gids;
+  for (int i = 0; i < 4; ++i) {
+    const std::string response = cluster.route(ingest_request({}));
+    ASSERT_EQ(status_of(response), "ok") << response;
+    gids.push_back(std::stoull(
+        std::string(xml::parse(response).root->child_text("objectID"))));
+  }
+  std::uint64_t shard1_gid = 0;
+  for (const std::uint64_t gid : gids) {
+    if (shard_of(gid, 2) == 1) shard1_gid = gid;
+  }
+  ASSERT_EQ(shard_of(shard1_gid, 2), 1u);
+
+  // Restarting shard 1's server on its port leaves the router's pooled
+  // connection to it stale (SO_REUSEADDR lets the new listener bind).
+  const auto restart_shard1 = [&] {
+    FedShard& shard = *cluster.shards[1];
+    net::ServerConfig config;
+    config.port = shard.server->port();
+    shard.server->shutdown();
+    shard.server.reset();
+    shard.server = std::make_unique<net::CatalogServer>(shard.dispatcher, config);
+    shard.server->start();
+  };
+  // After each restart the request succeeds through its one fresh dial, and
+  // the endpoint stays alive: stats (a read, which skips dead endpoints)
+  // still hears from every primary.
+  const auto still_alive = [&] {
+    const std::string stats = cluster.route("<catalogRequest type=\"stats\"/>");
+    return status_of(stats) == "ok" && stats.find("<partial") == std::string::npos &&
+           stats.find("<shard index=\"1\" endpoint=\"primary\"") != std::string::npos;
+  };
+
+  restart_shard1();
+  const std::string fetched = cluster.route(fetch_request(shard1_gid));
+  ASSERT_EQ(status_of(fetched), "ok") << fetched;
+  EXPECT_NE(fetched.find("objectID=\"" + std::to_string(shard1_gid) + "\""),
+            std::string::npos);
+  EXPECT_TRUE(still_alive());
+
+  restart_shard1();
+  const std::string queried = cluster.route(theme_query_wire(true));
+  ASSERT_EQ(status_of(queried), "ok") << queried;
+  std::sort(gids.begin(), gids.end());
+  EXPECT_EQ(ids_of(queried), gids);
+  EXPECT_TRUE(still_alive());
+
+  restart_shard1();
+  const std::string ingested = cluster.route(ingest_request(name_on_shard(1, 2)));
+  ASSERT_EQ(status_of(ingested), "ok") << ingested;
+  EXPECT_EQ(shard_of(std::stoull(std::string(
+                         xml::parse(ingested).root->child_text("objectID"))),
+                     2),
+            1u);
+  EXPECT_TRUE(still_alive());
+}
+
 TEST(Router, StatsMergeSumsShardsAndReportsTopology) {
   FedCluster cluster(2);
   for (int i = 0; i < 5; ++i) {

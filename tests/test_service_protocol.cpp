@@ -338,6 +338,30 @@ TEST_F(ProtocolTest, MalformedCursorIsValidationNotStale) {
   EXPECT_EQ(code_of(send(query_to_xml(query))), "validation");
 }
 
+TEST_F(ProtocolTest, CursorCodecAcceptsOnlyWhatItEmits) {
+  ingest_fig3(5);
+  ObjectQuery query = workload::theme_keyword_query("convective_precipitation_flux");
+  query.set_limit(2);
+  const std::string issued = send(query_to_xml(query)).root->child_text("nextCursor");
+  ASSERT_EQ(issued.rfind("HXC1.", 0), 0u) << issued;
+  const std::string epoch = issued.substr(5, issued.find('.', 5) - 5);
+
+  // The issued cursor resumes; every other spelling of the same numbers is
+  // malformed, not a cursor pinned at some epoch.
+  query.set_cursor(issued);
+  EXPECT_EQ(code_of(send(query_to_xml(query))), "");
+  for (const std::string& spelling :
+       {"HXC1. " + epoch + ".1", "HXC1.0x" + epoch + ".1", "HXC1.+" + epoch + ".1",
+        "HXC1." + epoch + ".-1", "HXC1." + epoch + ".A", "HXC1." + epoch + ".1.",
+        "HXC1." + epoch + "." + std::string(17, '1'), "HXC1." + epoch}) {
+    query.set_cursor(spelling);
+    const xml::Document response = send(query_to_xml(query));
+    EXPECT_EQ(code_of(response), "validation") << spelling;
+    EXPECT_EQ(response.root->child_text("message"), "malformed continuation cursor")
+        << spelling;
+  }
+}
+
 TEST_F(ProtocolTest, PaginationSurvivesWireRoundTrip) {
   ObjectQuery query = workload::paper_example_query().set_user("alice");
   query.set_limit(7).set_cursor("HXC1.0.3");

@@ -10,24 +10,11 @@ namespace {
 TEST(ThreadPool, RunsSubmittedTasks) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
   for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.submit([&counter] { counter.fetch_add(1); }));
+    pool.submit([&counter] { counter.fetch_add(1); });
   }
-  for (auto& f : futures) f.get();
+  pool.wait_idle();
   EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, ReturnsValues) {
-  ThreadPool pool(2);
-  auto f = pool.submit([] { return 41 + 1; });
-  EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPool, PropagatesExceptions) {
-  ThreadPool pool(2);
-  auto f = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
 }
 
 TEST(ThreadPool, WaitIdleDrainsQueue) {
