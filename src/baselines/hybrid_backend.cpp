@@ -20,7 +20,8 @@ HybridBackend::HybridBackend(const core::Partition& partition)
                    .shred = core::ShredOptions{.auto_define_dynamic = true,
                                                .auto_define_visibility =
                                                    core::Visibility::kAdmin},
-                   .engine = {}}) {}
+                   .engine = {},
+                   .cache = {}}) {}
 
 ObjectId HybridBackend::ingest(const xml::Document& doc, const std::string& owner) {
   return catalog_.ingest(doc, "object", owner);

@@ -119,8 +119,11 @@ std::int64_t InliningBackend::insert_fragment(std::size_t frag_index, const xml:
   rel::Table& table = db_.require_table(fragment.table);
   const std::int64_t row_id = next_row_[frag_index]++;
 
-  rel::Row row{rel::Value(row_id), rel::Value(doc), rel::Value(parent_frag),
-               rel::Value(parent_row), rel::Value(ord)};
+  rel::Row row;
+  row.reserve(5 + (fragment.leaf_value ? 1 : fragment.leaves.size()));
+  for (const std::int64_t key : {row_id, doc, parent_frag, parent_row, ord}) {
+    row.emplace_back(key);
+  }
   if (fragment.leaf_value) {
     row.push_back(rel::Value(node.text_content()));
   } else {

@@ -1,11 +1,7 @@
 #include "core/annotated_schema.hpp"
 
-#include <unordered_map>
-#include <unordered_set>
-
 #include "xml/dom.hpp"
 #include "xml/parser.hpp"
-#include "xml/writer.hpp"
 
 namespace hxrc::core {
 
@@ -67,55 +63,6 @@ AnnotatedSchema load_annotated_schema(std::string_view xml_text) {
   collect_annotations(*doc.root, "", out.annotations);
   read_convention(*doc.root, out.annotations.convention);
   return out;
-}
-
-std::string save_annotated_schema(const xml::Schema& schema,
-                                  const PartitionAnnotations& annotations) {
-  // Serialize the plain schema, re-parse, and weave the annotations back in
-  // by path; then emit. This keeps one source of truth for the layout.
-  xml::Document doc = xml::parse(xml::save_schema(schema));
-
-  std::unordered_map<std::string, const AttributeAnnotation*> by_path;
-  for (const auto& annotation : annotations.attributes) {
-    by_path.emplace(annotation.path, &annotation);
-  }
-
-  const auto annotate = [&](auto&& self, xml::Node& decl,
-                            const std::string& prefix) -> void {
-    for (const auto& child_ptr : decl.children()) {
-      if (!child_ptr->is_element() || child_ptr->name() != "element") continue;
-      xml::Node& child = *child_ptr;
-      const std::string_view* name = child.attribute("name");
-      if (name == nullptr) continue;
-      const std::string path =
-          prefix.empty() ? std::string(*name) : prefix + "/" + std::string(*name);
-      const auto it = by_path.find(path);
-      if (it != by_path.end()) {
-        child.add_attribute("metadata", it->second->dynamic ? "dynamic" : "attribute");
-        if (!it->second->queryable) child.add_attribute("queryable", "false");
-      }
-      self(self, child, path);
-    }
-  };
-  annotate(annotate, *doc.root, "");
-
-  const DynamicConvention defaults;
-  const DynamicConvention& c = annotations.convention;
-  if (c.def_container != defaults.def_container || c.def_name != defaults.def_name ||
-      c.def_source != defaults.def_source || c.item_tag != defaults.item_tag ||
-      c.item_name != defaults.item_name || c.item_source != defaults.item_source ||
-      c.item_value != defaults.item_value) {
-    xml::Node* decl = doc.root->add_element("convention");
-    decl->add_attribute("container", c.def_container);
-    decl->add_attribute("name", c.def_name);
-    decl->add_attribute("source", c.def_source);
-    decl->add_attribute("item", c.item_tag);
-    decl->add_attribute("itemName", c.item_name);
-    decl->add_attribute("itemSource", c.item_source);
-    decl->add_attribute("itemValue", c.item_value);
-  }
-
-  return xml::write(doc, xml::WriteOptions{.indent = 2});
 }
 
 }  // namespace hxrc::core

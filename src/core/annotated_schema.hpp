@@ -47,9 +47,4 @@ struct AnnotatedSchema {
 /// validated against the §2 rules — Partition::build does that.
 AnnotatedSchema load_annotated_schema(std::string_view xml_text);
 
-/// Serializes a schema plus its annotations back to the annotated format
-/// (round-trips through load_annotated_schema).
-std::string save_annotated_schema(const xml::Schema& schema,
-                                  const PartitionAnnotations& annotations);
-
 }  // namespace hxrc::core

@@ -1,7 +1,6 @@
 #include "core/browse.hpp"
 
 #include <algorithm>
-#include <map>
 #include <unordered_map>
 
 #include "core/catalog.hpp"
@@ -40,124 +39,6 @@ std::vector<AttributeSummary> CatalogBrowser::attributes(const std::string& user
     return a.source < b.source;
   });
   return out;
-}
-
-std::vector<ElementSummary> CatalogBrowser::elements(AttrDefId attribute) const {
-  const MetadataCatalog::ReadGuard guard(catalog_);
-  const DefinitionRegistry& registry = *guard->defs;
-  const rel::Table& elem_data = catalog_.database().require_table(kElemDataTable);
-  const rel::Index* by_def = elem_data.index("idx_elem_def");
-  const std::size_t value_col = elem_data.schema().require("value_str");
-
-  std::vector<rel::RowId> scratch;
-  std::vector<ElementSummary> out;
-  for (const ElementDef& def : registry.elements()) {
-    if (def.attribute != attribute) continue;
-    ElementSummary summary;
-    summary.id = def.id;
-    summary.name = def.name;
-    summary.source = def.source;
-    summary.type = def.type;
-    std::map<std::string, std::size_t> distinct;
-    scratch.clear();
-    guard->view.lookup_into(elem_data, *by_def, rel::Key{{rel::Value(def.id)}}, scratch);
-    for (const rel::RowId id : scratch) {
-      ++distinct[elem_data.row_unchecked(id)[value_col].as_string()];
-      ++summary.values;
-    }
-    summary.distinct_values = distinct.size();
-    out.push_back(std::move(summary));
-  }
-  std::sort(out.begin(), out.end(), [](const ElementSummary& a, const ElementSummary& b) {
-    return a.name < b.name;
-  });
-  return out;
-}
-
-std::vector<ValueCount> CatalogBrowser::top_values(ElemDefId element,
-                                                   std::size_t limit) const {
-  const MetadataCatalog::ReadGuard guard(catalog_);
-  const rel::Table& elem_data = catalog_.database().require_table(kElemDataTable);
-  const rel::Index* by_def = elem_data.index("idx_elem_def");
-  const std::size_t value_col = elem_data.schema().require("value_str");
-
-  std::map<std::string, std::size_t> counts;
-  std::vector<rel::RowId> scratch;
-  guard->view.lookup_into(elem_data, *by_def, rel::Key{{rel::Value(element)}}, scratch);
-  for (const rel::RowId id : scratch) {
-    ++counts[elem_data.row_unchecked(id)[value_col].as_string()];
-  }
-  std::vector<ValueCount> out;
-  out.reserve(counts.size());
-  for (const auto& [value, count] : counts) {
-    out.push_back(ValueCount{value, count});
-  }
-  std::stable_sort(out.begin(), out.end(), [](const ValueCount& a, const ValueCount& b) {
-    return a.count > b.count;
-  });
-  if (out.size() > limit) out.resize(limit);
-  return out;
-}
-
-std::vector<ObjectId> CatalogBrowser::query_sorted(const ObjectQuery& q,
-                                                   const ResultOrder& order,
-                                                   std::size_t offset,
-                                                   std::size_t limit) const {
-  // One pinned snapshot for the query AND the sort-key probe: the sort keys
-  // are exactly the values the matching epoch saw (the old lock-based path
-  // had a gap between the two).
-  const MetadataCatalog::ReadGuard guard(catalog_);
-  std::vector<ObjectId> hits = guard.query(q);
-  if (hits.empty()) return hits;
-
-  // Resolve the sort element definition (invisible/unknown: keep id order).
-  const DefinitionRegistry& registry = *guard->defs;
-  const AttributeDef* attr = registry.find_attribute(
-      order.attribute_name, order.attribute_source, kNoAttr, q.user());
-  const ElementDef* elem =
-      attr == nullptr
-          ? nullptr
-          : registry.find_element(order.element_name,
-                                  order.element_source.empty() ? order.attribute_source
-                                                               : order.element_source,
-                                  attr->id);
-
-  if (elem != nullptr) {
-    // First value of the sort element per hit object.
-    const rel::Table& elem_data = catalog_.database().require_table(kElemDataTable);
-    const rel::Index* by_def = elem_data.index("idx_elem_def");
-    const std::size_t object_col = elem_data.schema().require("object_id");
-    const std::size_t str_col = elem_data.schema().require("value_str");
-    const std::size_t num_col = elem_data.schema().require("value_num");
-    std::unordered_map<ObjectId, rel::Value> sort_key;
-    std::vector<rel::RowId> scratch;
-    guard->view.lookup_into(elem_data, *by_def, rel::Key{{rel::Value(elem->id)}}, scratch);
-    for (const rel::RowId id : scratch) {
-      const rel::Row& row = elem_data.row_unchecked(id);
-      const ObjectId object = row[object_col].as_int();
-      const rel::Value& key = row[num_col].is_null() ? row[str_col] : row[num_col];
-      const auto it = sort_key.find(object);
-      if (it == sort_key.end() || key.compare(it->second) < 0) {
-        sort_key[object] = key;
-      }
-    }
-    std::stable_sort(hits.begin(), hits.end(), [&](ObjectId a, ObjectId b) {
-      const auto ia = sort_key.find(a);
-      const auto ib = sort_key.find(b);
-      const bool has_a = ia != sort_key.end();
-      const bool has_b = ib != sort_key.end();
-      if (has_a != has_b) return has_a;  // objects lacking the element sort last
-      if (!has_a) return false;
-      const int c = ia->second.compare(ib->second);
-      if (c == 0) return false;
-      return order.descending ? c > 0 : c < 0;
-    });
-  }
-
-  if (offset >= hits.size()) return {};
-  hits.erase(hits.begin(), hits.begin() + static_cast<std::ptrdiff_t>(offset));
-  if (hits.size() > limit) hits.resize(limit);
-  return hits;
 }
 
 }  // namespace hxrc::core

@@ -4,22 +4,15 @@
 //  available attributes and elements and allows them to build a query
 //  graphically."
 //
-// The browser answers exactly the questions such a tool asks: which
-// attribute definitions are visible to this user (with instance counts),
-// which elements does an attribute carry, and which values does an element
-// take (for dropdowns / selectivity hints). It also provides sorted,
-// paginated query results — a catalog server returns pages ordered by a
-// metadata element (e.g. publication date), not raw id sets.
+// The browser answers the first question such a tool asks: which attribute
+// definitions are visible to this user, with instance counts.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/model.hpp"
-#include "core/query.hpp"
 #include "core/registry.hpp"
-#include "rel/database.hpp"
 
 namespace hxrc::core {
 
@@ -35,32 +28,6 @@ struct AttributeSummary {
   std::size_t instances = 0;  // stored instances across all objects
 };
 
-/// One row of the element listing.
-struct ElementSummary {
-  ElemDefId id = -1;
-  std::string name;
-  std::string source;
-  xml::LeafType type = xml::LeafType::kString;
-  std::size_t values = 0;           // stored value rows
-  std::size_t distinct_values = 0;  // distinct stored values
-};
-
-/// A distinct element value with its frequency.
-struct ValueCount {
-  std::string value;
-  std::size_t count = 0;
-};
-
-/// Result ordering for sorted queries.
-struct ResultOrder {
-  /// Order hits by this element's value (objects lacking it sort last).
-  std::string attribute_name;
-  std::string attribute_source;
-  std::string element_name;
-  std::string element_source;
-  bool descending = false;
-};
-
 class CatalogBrowser {
  public:
   explicit CatalogBrowser(const MetadataCatalog& catalog) : catalog_(catalog) {}
@@ -68,19 +35,6 @@ class CatalogBrowser {
   /// Attribute definitions visible to `user` (admin + the user's private
   /// ones), with instance counts; sorted by name then source.
   std::vector<AttributeSummary> attributes(const std::string& user = {}) const;
-
-  /// Elements of one attribute definition, with value statistics.
-  std::vector<ElementSummary> elements(AttrDefId attribute) const;
-
-  /// Most frequent distinct values of an element (for query-builder
-  /// dropdowns), most frequent first; at most `limit`.
-  std::vector<ValueCount> top_values(ElemDefId element, std::size_t limit = 16) const;
-
-  /// Runs a query and returns one page of hits ordered by a metadata
-  /// element value. `offset`/`limit` paginate the ordered hit list.
-  std::vector<ObjectId> query_sorted(const ObjectQuery& q, const ResultOrder& order,
-                                     std::size_t offset = 0,
-                                     std::size_t limit = SIZE_MAX) const;
 
  private:
   const MetadataCatalog& catalog_;

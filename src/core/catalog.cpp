@@ -23,18 +23,6 @@ MetadataCatalog::MetadataCatalog(const xml::Schema& schema,
   registry_.install_structural(partition_);
   install_storage(db_);
   install_ordering(db_, partition_);
-  // Containment tables for collections (aggregations).
-  rel::Table& collections = db_.create_table(
-      "collections", rel::TableSchema{{"coll_id", rel::Type::kInt},
-                                      {"name", rel::Type::kString},
-                                      {"owner", rel::Type::kString},
-                                      {"parent", rel::Type::kInt}});
-  collections.create_hash_index("idx_coll_parent", {"parent"});
-  rel::Table& members = db_.create_table(
-      "collection_members", rel::TableSchema{{"coll_id", rel::Type::kInt},
-                                             {"object_id", rel::Type::kInt}});
-  members.create_hash_index("idx_member_coll", {"coll_id"});
-  members.create_hash_index("idx_member_pair", {"coll_id", "object_id"});
 
   shredder_ = std::make_unique<Shredder>(partition_, registry_, db_, config_.shred);
   EngineOptions engine_options = config_.engine;
@@ -151,13 +139,6 @@ void MetadataCatalog::add_attribute(ObjectId object, std::string_view attribute_
   throw ValidationError("no attribute root at path '" + std::string(attribute_path) + "'");
 }
 
-void MetadataCatalog::add_attribute_xml(ObjectId object, std::string_view attribute_path,
-                                        std::string_view content_xml,
-                                        const std::string& owner) {
-  const xml::NodePtr content = xml::parse_fragment(content_xml);
-  add_attribute(object, attribute_path, *content, owner);
-}
-
 AttrDefId MetadataCatalog::define_dynamic(AttrDefId parent, const std::string& name,
                                           const std::string& source,
                                           const std::vector<DynamicElementSpec>& elements,
@@ -192,120 +173,6 @@ AttrDefId MetadataCatalog::define_dynamic(AttrDefId parent, const std::string& n
   event.elements = &elements;
   commit_locked(event);
   return id;
-}
-
-CollectionId MetadataCatalog::create_collection(const std::string& name,
-                                                const std::string& owner,
-                                                CollectionId parent) {
-  std::unique_lock lock(mutex_);
-  rel::Table& collections = db_.require_table("collections");
-  if (parent != kNoCollection &&
-      static_cast<std::size_t>(parent) >= collections.row_count()) {
-    throw ValidationError("unknown parent collection " + std::to_string(parent));
-  }
-  const auto id = static_cast<CollectionId>(collections.row_count());
-  collections.append(rel::Row{rel::Value(id), rel::Value(name), rel::Value(owner),
-                              parent == kNoCollection ? rel::Value::null()
-                                                      : rel::Value(parent)});
-  bump_version();
-  MutationEvent event{MutationEvent::Kind::kCreateCollection};
-  event.epoch = version();
-  event.collection = id;
-  event.parent_collection = parent;
-  event.name = name;
-  event.owner = owner;
-  commit_locked(event);
-  return id;
-}
-
-void MetadataCatalog::add_to_collection(CollectionId collection, ObjectId object) {
-  std::unique_lock lock(mutex_);
-  rel::Table& members = db_.require_table("collection_members");
-  if (static_cast<std::size_t>(collection) >=
-      db_.require_table("collections").row_count()) {
-    throw ValidationError("unknown collection " + std::to_string(collection));
-  }
-  const rel::Index* pair_index = members.index("idx_member_pair");
-  if (!pair_index->lookup(rel::Key{{rel::Value(collection), rel::Value(object)}}).empty()) {
-    return;  // already a member — no state change, nothing to publish
-  }
-  members.append(rel::Row{rel::Value(collection), rel::Value(object)});
-  bump_version();
-  MutationEvent event{MutationEvent::Kind::kAddToCollection};
-  event.epoch = version();
-  event.collection = collection;
-  event.object = object;
-  commit_locked(event);
-}
-
-std::vector<CollectionId> MetadataCatalog::child_collections_at(
-    const CatalogSnapshot& snap, CollectionId collection) const {
-  const rel::Table& collections = db_.require_table("collections");
-  const rel::Index* by_parent = collections.index("idx_coll_parent");
-  std::vector<rel::RowId> scratch;
-  snap.view.lookup_into(collections, *by_parent, rel::Key{{rel::Value(collection)}},
-                        scratch);
-  std::vector<CollectionId> out;
-  out.reserve(scratch.size());
-  for (const rel::RowId id : scratch) {
-    out.push_back(collections.row_unchecked(id)[0].as_int());
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<CollectionId> MetadataCatalog::child_collections(
-    CollectionId collection) const {
-  ReadGuard guard(*this);
-  return child_collections_at(guard.snapshot(), collection);
-}
-
-std::vector<ObjectId> MetadataCatalog::collection_members_at(
-    const CatalogSnapshot& snap, CollectionId collection, bool recursive) const {
-  const rel::Table& members = db_.require_table("collection_members");
-  const rel::Index* by_collection = members.index("idx_member_coll");
-  std::vector<rel::RowId> scratch;
-  std::vector<ObjectId> out;
-  std::vector<CollectionId> frontier{collection};
-  while (!frontier.empty()) {
-    const CollectionId current = frontier.back();
-    frontier.pop_back();
-    scratch.clear();
-    snap.view.lookup_into(members, *by_collection, rel::Key{{rel::Value(current)}},
-                          scratch);
-    for (const rel::RowId id : scratch) {
-      out.push_back(members.row_unchecked(id)[1].as_int());
-    }
-    if (recursive) {
-      const auto children = child_collections_at(snap, current);
-      frontier.insert(frontier.end(), children.begin(), children.end());
-    }
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
-std::vector<ObjectId> MetadataCatalog::collection_members(CollectionId collection,
-                                                          bool recursive) const {
-  ReadGuard guard(*this);
-  return collection_members_at(guard.snapshot(), collection, recursive);
-}
-
-std::vector<ObjectId> MetadataCatalog::query_in_collection(CollectionId collection,
-                                                           const ObjectQuery& q,
-                                                           bool recursive) const {
-  ReadGuard guard(*this);
-  const CatalogSnapshot& snap = guard.snapshot();
-  const std::vector<ObjectId> scope = collection_members_at(snap, collection, recursive);
-  QueryContext ctx;
-  ctx.registry = snap.defs.get();
-  ctx.view = &snap.view;
-  const std::vector<ObjectId> hits = engine_->run(q, nullptr, ctx);
-  std::vector<ObjectId> out;
-  std::set_intersection(hits.begin(), hits.end(), scope.begin(), scope.end(),
-                        std::back_inserter(out));
-  return out;
 }
 
 std::vector<ObjectId> MetadataCatalog::query_at(const CatalogSnapshot& snap,
@@ -373,20 +240,14 @@ bool take_hex_field(std::string_view text, std::size_t& pos, std::uint64_t& valu
   return true;
 }
 
-QueryPage MetadataCatalog::query_paged(const ObjectQuery& q, QueryPlanInfo* info) const {
-  ReadGuard guard(*this);
-  return query_paged_at(guard.snapshot(), q, info);
-}
-
 QueryPage MetadataCatalog::query_paged_at(const CatalogSnapshot& snap,
-                                          const ObjectQuery& q,
-                                          QueryPlanInfo* info) const {
+                                          const ObjectQuery& q) const {
   QueryPage page;
   page.version = snap.epoch;
   // Cursor re-entry lands on the L1 memo inside query_at: the full id-set
   // was cached when page one ran, so later pages slice it without touching
   // the engine.
-  std::vector<ObjectId> hits = query_at(snap, q, info);
+  std::vector<ObjectId> hits = query_at(snap, q, nullptr);
   if (!std::is_sorted(hits.begin(), hits.end())) {
     std::sort(hits.begin(), hits.end());  // defensive: the engine emits ascending
   }
@@ -494,7 +355,7 @@ void MetadataCatalog::save(std::ostream& out) const {
 }
 
 void MetadataCatalog::save_unlocked(std::ostream& out) const {
-  out << "HXRCCAT 2\n";
+  out << "HXRCCAT 3\n";
   out << "epoch " << version_.load(std::memory_order_acquire) << '\n';
   out << "next_object " << next_object_.load(std::memory_order_acquire) << '\n';
 
@@ -554,8 +415,8 @@ void MetadataCatalog::restore(std::istream& in) {
   std::unique_lock lock(mutex_);
   std::string magic;
   int version = 0;
-  if (!(in >> magic >> version) || magic != "HXRCCAT" || version != 2) {
-    throw ValidationError("not an HXRCCAT version-2 stream");
+  if (!(in >> magic >> version) || magic != "HXRCCAT" || version != 3) {
+    throw ValidationError("not an HXRCCAT version-3 stream");
   }
   std::string tag;
   std::uint64_t restored_epoch = 0;

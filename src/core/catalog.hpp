@@ -14,14 +14,13 @@
 //   std::string response = catalog.build_response(ids);
 //
 // Concurrency: MVCC snapshot reads. Mutations (ingest/add_attribute/define/
-// delete/collection writes/restore) serialize on an exclusive commit lock,
-// apply their rows to pointer-stable storage, sync the index generations,
-// and publish an immutable CatalogSnapshot (epoch, per-table watermarks,
-// definition registry copy, tombstone set, stats) through one atomic
-// pointer. Reads (query/query_paged/fetch/build_response/browse/stats/
-// collection reads) pin an epoch in a reclamation slot, load the snapshot,
-// and run entirely against that frozen state — they NEVER take a lock and
-// never block behind a writer. Superseded snapshots and index generations
+// delete/restore) serialize on an exclusive commit lock, apply their rows to
+// pointer-stable storage, sync the index generations, and publish an
+// immutable CatalogSnapshot (epoch, per-table watermarks, definition
+// registry copy, tombstone set, stats) through one atomic pointer. Reads
+// (query/query_paged/fetch/build_response/browse/stats) pin an epoch in a
+// reclamation slot, load the snapshot, and run entirely against that frozen
+// state — they NEVER take a lock and never block behind a writer. Superseded snapshots and index generations
 // are reclaimed once no reader pins their epoch (util::EpochManager).
 // Continuation cursors carry the epoch they were issued at and go stale on
 // any mutation. The accessors that hand out raw internals (database(),
@@ -76,7 +75,7 @@ class StaleCursorError : public ValidationError {
   using ValidationError::ValidationError;
 };
 
-/// One page of paginated query results (see MetadataCatalog::query_paged).
+/// One page of paginated query results (see ReadGuard::query_paged).
 struct QueryPage {
   /// Matching ids, ascending, at most the query's limit.
   std::vector<ObjectId> ids;
@@ -116,29 +115,26 @@ struct DynamicElementSpec {
 /// but BEFORE the snapshot is published — so an observer (the WAL appender)
 /// sees mutations in exactly the order a recovery replay must reapply them,
 /// and a mutation is durable before any reader can observe it. Views/
-/// pointers are valid only for the duration of the callback.
+/// pointers are valid only for the duration of the callback. Every field
+/// after `kind` has a default, so an event names only what it carries.
 struct MutationEvent {
   enum class Kind {
     kIngest,
     kDefine,
     kAddAttribute,
     kDelete,
-    kCreateCollection,
-    kAddToCollection,
   };
   Kind kind;
   /// Catalog version after the mutation.
   std::uint64_t epoch = 0;
-  ObjectId object = -1;          ///< ingest / addAttribute / delete / addToCollection
+  ObjectId object = -1;          ///< ingest / addAttribute / delete
   AttrDefId attr = kNoAttr;      ///< define: the assigned definition id
   AttrDefId parent = kNoAttr;    ///< define: parent definition (kNoAttr = top-level)
-  CollectionId collection = kNoCollection;
-  CollectionId parent_collection = kNoCollection;
   Visibility visibility = Visibility::kAdmin;
-  std::string_view name;         ///< ingest doc name / define name / collection name
-  std::string_view source;       ///< define source
-  std::string_view owner;
-  std::string_view path;         ///< addAttribute schema path
+  std::string_view name{};       ///< ingest doc name / define name
+  std::string_view source{};     ///< define source
+  std::string_view owner{};
+  std::string_view path{};       ///< addAttribute schema path
   const xml::Node* content = nullptr;  ///< ingest root / addAttribute subtree
   const std::vector<DynamicElementSpec>* elements = nullptr;  ///< define
 };
@@ -178,8 +174,7 @@ enum class ObjectState { kUnknown, kLive, kDeleted };
 class MetadataCatalog {
  public:
   /// The schema is partitioned with the given annotations (see
-  /// Partition::build); pass Partition::infer(schema) to auto-annotate.
-  /// The schema must outlive the catalog.
+  /// Partition::build). The schema must outlive the catalog.
   MetadataCatalog(const xml::Schema& schema, PartitionAnnotations annotations,
                   CatalogConfig config = {});
   ~MetadataCatalog();
@@ -201,8 +196,6 @@ class MetadataCatalog {
   /// sequences after the object's existing siblings in rebuilt responses.
   void add_attribute(ObjectId object, std::string_view attribute_path,
                      const xml::Node& content, const std::string& owner = {});
-  void add_attribute_xml(ObjectId object, std::string_view attribute_path,
-                         std::string_view content_xml, const std::string& owner = {});
 
   // ---- definitions ----
 
@@ -224,38 +217,9 @@ class MetadataCatalog {
     return define_dynamic(parent, name, source, elements, visibility, owner);
   }
 
-  // ---- collections (containment context, §1/§7) ----
-
-  /// Creates a (possibly nested) collection owned by `owner`.
-  CollectionId create_collection(const std::string& name, const std::string& owner,
-                                 CollectionId parent = kNoCollection);
-
-  /// Adds an object to a collection (idempotent).
-  void add_to_collection(CollectionId collection, ObjectId object);
-
-  /// Member objects; with `recursive`, members of nested collections too.
-  std::vector<ObjectId> collection_members(CollectionId collection,
-                                           bool recursive = true) const;
-
-  /// Direct child collections.
-  std::vector<CollectionId> child_collections(CollectionId collection) const;
-
-  /// Runs a metadata query scoped to a collection's (recursive) members —
-  /// the containment-context query of §7.
-  std::vector<ObjectId> query_in_collection(CollectionId collection, const ObjectQuery& q,
-                                            bool recursive = true) const;
-
   // ---- query & response ----
 
   std::vector<ObjectId> query(const ObjectQuery& q, QueryPlanInfo* info = nullptr) const;
-
-  /// Paginated query: honors the query's `limit` and continuation `cursor`.
-  /// Cursors are opaque, carry the catalog version they were issued at, and
-  /// are validated here: a cursor issued before any later mutation throws
-  /// StaleCursorError; a syntactically bad cursor throws ValidationError.
-  /// Each page is recomputed from the engine (ids are ascending, so the
-  /// cursor is a resume-after id — O(log n) to apply).
-  QueryPage query_paged(const ObjectQuery& q, QueryPlanInfo* info = nullptr) const;
 
   /// Full tagged-XML response for a set of object ids (§5).
   std::string build_response(std::span<const ObjectId> ids) const;
@@ -295,10 +259,10 @@ class MetadataCatalog {
 
   // ---- persistence ----
 
-  /// Serializes the whole catalog state as an `HXRCCAT 2` stream — the
+  /// Serializes the whole catalog state as an `HXRCCAT 3` stream — the
   /// snapshot format of the durability subsystem: version epoch, object
   /// counter, dynamic definitions, thesaurus, same-sibling counters, and
-  /// the database (shredded tables, ordering tables, collections, CLOBs) in
+  /// the database (shredded tables, ordering tables, CLOBs) in
   /// the stable binary form of rel::save_database. Interned columns
   /// serialize by content, so a stream is independent of interner pointer
   /// identity.
@@ -309,8 +273,9 @@ class MetadataCatalog {
   /// slip between the snapshot and the WAL rotation.
   void save_unlocked(std::ostream& out) const;
 
-  /// Restores state written by save(); any other header (including the
-  /// retired text format `HXRCCAT 1`) throws ValidationError. The catalog
+  /// Restores state written by save(); any other header throws
+  /// ValidationError, including the retired `HXRCCAT 1` (text) and
+  /// `HXRCCAT 2` (which carried collection tables). The catalog
   /// must have been constructed with the same schema and annotations (the
   /// structural definitions and ordering tables are rebuilt by the
   /// constructor and verified here). Existing ingested data is discarded
@@ -403,11 +368,16 @@ class MetadataCatalog {
                                 QueryPlanInfo* info = nullptr) const {
       return catalog_->query_at(*snap_, q, info);
     }
-    /// Paginated query against the pinned snapshot: cursor validation, id
-    /// slicing, and the L1 memo all run at one epoch, so the service layer
-    /// can compute a page AND serialize it from the same snapshot.
+    /// Paginated query against the pinned snapshot: honors the query's
+    /// `limit` and continuation `cursor`. Cursors are opaque and carry the
+    /// catalog version they were issued at: one issued before a later
+    /// mutation throws StaleCursorError, a syntactically bad one throws
+    /// ValidationError. Cursor validation, id slicing and the L1 memo all
+    /// run at one epoch, so the service layer can compute a page AND
+    /// serialize it from the same snapshot. Ids are ascending, so the
+    /// cursor is a resume-after id.
     QueryPage query_paged(const ObjectQuery& q) const {
-      return catalog_->query_paged_at(*snap_, q, nullptr);
+      return catalog_->query_paged_at(*snap_, q);
     }
     /// Tagged-XML response from the pinned snapshot.
     std::string build_response(std::span<const ObjectId> ids) const {
@@ -491,20 +461,14 @@ class MetadataCatalog {
  private:
   friend class ReadGuard;
 
-  std::vector<CollectionId> child_collections_at(const CatalogSnapshot& snap,
-                                                 CollectionId collection) const;
-  std::vector<ObjectId> collection_members_at(const CatalogSnapshot& snap,
-                                              CollectionId collection,
-                                              bool recursive) const;
   std::string build_response_at(const CatalogSnapshot& snap, std::span<const ObjectId> ids,
                                 const std::vector<OrderId>* orders) const;
   /// Engine run + tombstone filter against one snapshot, ids ascending.
   /// Plain runs (info == nullptr) go through the snapshot's L1 memo.
   std::vector<ObjectId> query_at(const CatalogSnapshot& snap, const ObjectQuery& q,
                                  QueryPlanInfo* info) const;
-  /// query_paged against one snapshot (see query_paged).
-  QueryPage query_paged_at(const CatalogSnapshot& snap, const ObjectQuery& q,
-                           QueryPlanInfo* info) const;
+  /// ReadGuard::query_paged's body.
+  QueryPage query_paged_at(const CatalogSnapshot& snap, const ObjectQuery& q) const;
   /// Shared body of define_dynamic_attribute (parent == kNoAttr: anchored
   /// at the first dynamic root's order) and define_dynamic_sub_attribute.
   AttrDefId define_dynamic(AttrDefId parent, const std::string& name,

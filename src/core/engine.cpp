@@ -505,11 +505,6 @@ bool QueryEngine::can_fast_path(const QueryShredded& shredded,
   return true;
 }
 
-std::vector<ObjectId> QueryEngine::run(const ObjectQuery& query,
-                                       QueryPlanInfo* info) const {
-  return run(query, info, QueryContext{});
-}
-
 namespace {
 
 /// Length-prefixes a caller-supplied string before embedding it in a key.

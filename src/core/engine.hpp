@@ -98,12 +98,8 @@ class QueryEngine {
 
   /// Matching object ids, ascending. Unknown (or invisible) definitions in
   /// the criteria yield an empty result, matching validated-catalog
-  /// semantics.
-  std::vector<ObjectId> run(const ObjectQuery& query, QueryPlanInfo* info = nullptr) const;
-
-  /// Snapshot-scoped run: lock-free against concurrent commits when `ctx`
-  /// carries a ReadView (probes never sync, rows above watermarks are
-  /// invisible).
+  /// semantics. Lock-free against concurrent commits when `ctx` carries a
+  /// ReadView (probes never sync, rows above watermarks are invisible).
   std::vector<ObjectId> run(const ObjectQuery& query, QueryPlanInfo* info,
                             const QueryContext& ctx) const;
 

@@ -28,11 +28,6 @@ using OrderId = std::int64_t;
 inline constexpr AttrDefId kNoAttr = -1;
 inline constexpr OrderId kNoOrder = -1;
 
-/// Collections model myLEAD's aggregations: objects are files OR
-/// aggregations (experiments, ensembles, sessions), and collections nest.
-using CollectionId = std::int64_t;
-inline constexpr CollectionId kNoCollection = -1;
-
 enum class AttrKind { kStructural, kDynamic };
 
 /// Who can see (and query on) a definition. Admin definitions are shared by

@@ -5,17 +5,6 @@
 
 namespace hxrc::core {
 
-std::string_view to_string(NodeRole role) noexcept {
-  switch (role) {
-    case NodeRole::kAncestor: return "ancestor";
-    case NodeRole::kAttributeRoot: return "attribute";
-    case NodeRole::kSubAttribute: return "sub-attribute";
-    case NodeRole::kElement: return "element";
-    case NodeRole::kAttributeElement: return "attribute-element";
-  }
-  return "?";
-}
-
 namespace {
 
 std::string path_of(const xml::SchemaNode& node) {
@@ -29,16 +18,6 @@ std::string path_of(const xml::SchemaNode& node) {
     path += *it;
   }
   return path;
-}
-
-/// True when any node in the subtree (excluding the root of the subtree)
-/// violates containment: repeatable, recursive, or XML-attributed nodes.
-bool subtree_needs_containment(const xml::SchemaNode& node) {
-  if (node.repeatable() || node.recursive() || !node.xml_attributes().empty()) return true;
-  for (const auto& child : node.children()) {
-    if (subtree_needs_containment(*child)) return true;
-  }
-  return false;
 }
 
 }  // namespace
@@ -160,8 +139,6 @@ Partition Partition::build(const xml::Schema& schema, PartitionAnnotations annot
 
       if (is_root) {
         const AttributeAnnotation& annotation = *root_it->second;
-        partition.roles_[&node] = node.is_leaf() ? NodeRole::kAttributeElement
-                                                 : NodeRole::kAttributeRoot;
         AttributeRootInfo info;
         info.path = annotation.path;
         info.tag = node.name();
@@ -172,33 +149,16 @@ Partition Partition::build(const xml::Schema& schema, PartitionAnnotations annot
         info.schema_node = &node;
         partition.root_by_order_[order] = partition.roots_.size();
         partition.roots_.push_back(std::move(info));
-        classify_inside(node);
         partition.ordered_[static_cast<std::size_t>(order)].last_child = order;
         return order;
       }
 
-      partition.roles_[&node] = NodeRole::kAncestor;
       OrderId last = order;
       for (const auto& child : node.children()) {
         last = walk_ordered(*child, order, depth + 1);
       }
       partition.ordered_[static_cast<std::size_t>(order)].last_child = last;
       return last;
-    }
-
-    /// Classifies nodes inside an attribute root (not ordered).
-    void classify_inside(const xml::SchemaNode& attribute_root) {
-      for (const auto& child : attribute_root.children()) {
-        classify_subtree(*child);
-      }
-    }
-
-    void classify_subtree(const xml::SchemaNode& node) {
-      partition.roles_[&node] =
-          node.is_leaf() ? NodeRole::kElement : NodeRole::kSubAttribute;
-      for (const auto& child : node.children()) {
-        classify_subtree(*child);
-      }
     }
   };
   Builder{partition, root_nodes}.walk_ordered(schema.root(), kNoOrder, 0);
@@ -216,14 +176,6 @@ Partition Partition::build(const xml::Schema& schema, PartitionAnnotations annot
   return partition;
 }
 
-NodeRole Partition::role(const xml::SchemaNode& node) const {
-  const auto it = roles_.find(&node);
-  if (it == roles_.end()) {
-    throw PartitionError("node '" + node.name() + "' is not part of this partition", {});
-  }
-  return it->second;
-}
-
 OrderId Partition::order_of(const xml::SchemaNode& node) const noexcept {
   const auto it = orders_.find(&node);
   return it == orders_.end() ? kNoOrder : it->second;
@@ -236,70 +188,6 @@ const AttributeRootInfo* Partition::root_at(OrderId order) const noexcept {
 
 const std::vector<OrderId>& Partition::ancestors_of(OrderId order) const {
   return ancestors_.at(static_cast<std::size_t>(order));
-}
-
-PartitionAnnotations Partition::infer(const xml::Schema& schema) {
-  PartitionAnnotations annotations;
-
-  struct Inferrer {
-    PartitionAnnotations& annotations;
-
-    void mark(const xml::SchemaNode& node, bool dynamic) {
-      AttributeAnnotation annotation;
-      annotation.path = path_of(node);
-      annotation.dynamic = dynamic;
-      annotations.attributes.push_back(std::move(annotation));
-    }
-
-    /// Returns true when the subtree was fully covered by attribute roots.
-    void walk(const xml::SchemaNode& node) {
-      for (const auto& child : node.children()) {
-        decide(*child);
-      }
-    }
-
-    void decide(const xml::SchemaNode& node) {
-      const bool hot = node.repeatable() || node.recursive() || !node.xml_attributes().empty();
-      if (hot) {
-        // The containment rules force this node inside an attribute; make it
-        // the root here (the highest legal point). Recursion marks dynamic.
-        mark(node, subtree_has_recursion(node));
-        return;
-      }
-      if (node.is_leaf()) {
-        // A stray leaf becomes an attribute-element.
-        mark(node, false);
-        return;
-      }
-      // An interior node whose children are all "calm" leaves is a concept
-      // grouping (e.g. status{progress, update}).
-      const bool all_calm_leaves = std::all_of(
-          node.children().begin(), node.children().end(), [](const auto& child) {
-            return child->is_leaf() && !child->repeatable() && !child->recursive() &&
-                   child->xml_attributes().empty();
-          });
-      if (all_calm_leaves) {
-        mark(node, false);
-        return;
-      }
-      if (subtree_needs_containment(node)) {
-        walk(node);  // stay an ancestor; descend
-        return;
-      }
-      // Calm interior subtree with mixed depth: treat as one concept.
-      mark(node, false);
-    }
-
-    static bool subtree_has_recursion(const xml::SchemaNode& node) {
-      if (node.recursive()) return true;
-      for (const auto& child : node.children()) {
-        if (subtree_has_recursion(*child)) return true;
-      }
-      return false;
-    }
-  };
-  Inferrer{annotations}.walk(schema.root());
-  return annotations;
 }
 
 }  // namespace hxrc::core

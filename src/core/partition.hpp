@@ -4,15 +4,11 @@
 // five rules. The partitioner accepts an *annotated* partition (the list of
 // schema paths that are attribute roots, plus which of them host dynamic
 // attributes) — mirroring the paper's proposed "annotated schema" — and
-// validates the five rules, producing diagnostics for violations. It can
-// also *infer* an annotation from the schema as a convenience.
+// validates the five rules, producing diagnostics for violations.
 //
-// The result also fixes each schema node's role:
-//   kAncestor         interior node above every attribute root (ordered);
-//   kAttributeRoot    a metadata attribute (ordered; CLOB granularity);
-//   kSubAttribute     interior node inside an attribute;
-//   kElement          leaf inside an attribute;
-//   kAttributeElement a leaf that is both attribute root and element.
+// The result orders the ancestors and attribute roots (a leaf root is an
+// attribute-element); nodes inside an attribute stay unordered (the CLOB
+// keeps their order).
 #pragma once
 
 #include <stdexcept>
@@ -24,16 +20,6 @@
 #include "xml/schema.hpp"
 
 namespace hxrc::core {
-
-enum class NodeRole {
-  kAncestor,
-  kAttributeRoot,
-  kSubAttribute,
-  kElement,
-  kAttributeElement,
-};
-
-std::string_view to_string(NodeRole role) noexcept;
 
 /// Conventions for locating dynamic-attribute names/sources/values inside a
 /// dynamic attribute root. Defaults match the LEAD/FGDC "detailed" subtree.
@@ -110,8 +96,8 @@ struct AttributeRootInfo {
   const xml::SchemaNode* schema_node = nullptr;
 };
 
-/// The computed partition: roles, the global ordering, and the ancestor
-/// inverted list (§5).
+/// The computed partition: the global ordering, the attribute roots, and the
+/// ancestor inverted list (§5).
 class Partition {
  public:
   const xml::Schema& schema() const noexcept { return *schema_; }
@@ -119,10 +105,6 @@ class Partition {
 
   const std::vector<OrderedNode>& ordered_nodes() const noexcept { return ordered_; }
   const std::vector<AttributeRootInfo>& attribute_roots() const noexcept { return roots_; }
-
-  /// Role of a schema node; nodes below attribute roots report
-  /// kSubAttribute / kElement.
-  NodeRole role(const xml::SchemaNode& node) const;
 
   /// Order id of a schema node in the ordered region; kNoOrder for nodes
   /// inside attributes.
@@ -141,20 +123,12 @@ class Partition {
   /// Builds a partition; throws PartitionError when the rules are violated.
   static Partition build(const xml::Schema& schema, PartitionAnnotations annotations);
 
-  /// Infers an annotation from the schema: the highest interior node whose
-  /// subtree contains any repeatable/recursive/XML-attributed node becomes
-  /// an attribute root; concept nodes with only leaf children become roots;
-  /// stray leaves become attribute-elements. Recursive subtrees are marked
-  /// dynamic.
-  static PartitionAnnotations infer(const xml::Schema& schema);
-
  private:
   const xml::Schema* schema_ = nullptr;
   DynamicConvention convention_;
   std::vector<OrderedNode> ordered_;
   std::vector<AttributeRootInfo> roots_;
-  /// schema node -> role/order, keyed by node pointer.
-  std::unordered_map<const xml::SchemaNode*, NodeRole> roles_;
+  /// schema node -> order, keyed by node pointer.
   std::unordered_map<const xml::SchemaNode*, OrderId> orders_;
   std::unordered_map<OrderId, std::size_t> root_by_order_;
   std::vector<std::vector<OrderId>> ancestors_;

@@ -401,14 +401,4 @@ ObjectQuery path_to_query(const Partition& partition, std::string_view expressio
   return query;
 }
 
-ObjectQuery paths_to_query(const Partition& partition,
-                           const std::vector<std::string>& expressions) {
-  ObjectQuery query;
-  for (const std::string& expression : expressions) {
-    PathParser parser(expression);
-    query.add_attribute(translate(partition, parser.parse()));
-  }
-  return query;
-}
-
 }  // namespace hxrc::core

@@ -48,8 +48,4 @@ class PathQueryError : public std::runtime_error {
 /// '//' target, malformed dynamic conventions, ...).
 ObjectQuery path_to_query(const Partition& partition, std::string_view expression);
 
-/// Conjunction of several path expressions (one AttrQuery each).
-ObjectQuery paths_to_query(const Partition& partition,
-                           const std::vector<std::string>& expressions);
-
 }  // namespace hxrc::core

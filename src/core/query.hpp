@@ -74,9 +74,6 @@ class AttrQuery {
   const std::vector<ElementPredicate>& elements() const noexcept { return elements_; }
   const std::vector<AttrQuery>& sub_attributes() const noexcept { return sub_attributes_; }
 
-  /// Depth of the criteria tree rooted here (1 = no sub-attributes).
-  std::size_t depth() const noexcept;
-
  private:
   std::string name_;
   std::string source_;
@@ -99,7 +96,7 @@ class ObjectQuery {
     return *this;
   }
 
-  /// Page size for paginated execution (MetadataCatalog::query_paged and
+  /// Page size for paginated execution (ReadGuard::query_paged and
   /// the wire protocol's `limit` attribute); 0 = unlimited.
   ObjectQuery& set_limit(std::size_t limit) {
     limit_ = limit;
@@ -118,8 +115,6 @@ class ObjectQuery {
   const std::string& user() const noexcept { return user_; }
   std::size_t limit() const noexcept { return limit_; }
   const std::string& cursor() const noexcept { return cursor_; }
-
-  bool has_sub_attributes() const noexcept;
 
  private:
   std::vector<AttrQuery> attributes_;

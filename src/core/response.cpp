@@ -117,16 +117,4 @@ std::string ResponseBuilder::assemble(const rel::ResultSet& clob_rows) const {
   return out;
 }
 
-std::string ResponseBuilder::build_response(std::span<const ObjectId> objects,
-                                            const rel::ReadView* view) const {
-  std::string out = "<results>";
-  for (const ObjectId object : objects) {
-    out += "<result objectID=\"" + std::to_string(object) + "\">";
-    out += build_document(object, view);
-    out += "</result>";
-  }
-  out += "</results>";
-  return out;
-}
-
 }  // namespace hxrc::core

@@ -47,11 +47,6 @@ class ResponseBuilder {
   std::string build_document(ObjectId object, std::span<const OrderId> attribute_orders,
                              const rel::ReadView* view = nullptr) const;
 
-  /// Builds the full response: each object's document concatenated inside a
-  /// <results> wrapper, in the id order given.
-  std::string build_response(std::span<const ObjectId> objects,
-                             const rel::ReadView* view = nullptr) const;
-
  private:
   std::string assemble(const rel::ResultSet& clob_rows) const;
 

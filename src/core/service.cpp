@@ -124,13 +124,6 @@ std::string_view error_code_name(ErrorCode code) noexcept {
   return "validation";
 }
 
-std::optional<ErrorCode> error_code_from_name(std::string_view name) noexcept {
-  for (const ErrorCodeName& entry : kErrorCodeNames) {
-    if (entry.name == name) return entry.code;
-  }
-  return std::nullopt;
-}
-
 std::string error_response(ErrorCode code, const std::string& message) {
   return "<catalogResponse status=\"error\" protocol=\"" +
          std::to_string(kProtocolMajor) + "\" code=\"" +

@@ -104,9 +104,6 @@ static_assert(std::size(kErrorCodeNames) ==
 
 std::string_view error_code_name(ErrorCode code) noexcept;
 
-/// Inverse of error_code_name; nullopt for strings outside the table.
-std::optional<ErrorCode> error_code_from_name(std::string_view name) noexcept;
-
 /// Thrown inside request handlers to produce a coded error response.
 class ServiceError : public std::runtime_error {
  public:

@@ -13,10 +13,10 @@
 // enabled.
 //
 // Ingest hot path: the walk accumulates rows per document in reused scratch
-// buffers and flushes each table once per document (Table::append_batch,
-// index-at-a-time maintenance). Registry probes take string_views straight
-// out of the DOM (no temporary strings), and string columns are
-// dictionary-encoded through the database's Interner.
+// buffers and flushes each table once per document
+// (Table::append_batch_unchecked, index-at-a-time maintenance). Registry
+// probes take string_views straight out of the DOM (no temporary strings),
+// and string columns are dictionary-encoded through the database's Interner.
 #pragma once
 
 #include <stdexcept>

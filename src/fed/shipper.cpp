@@ -54,11 +54,6 @@ void WalShipper::stop() {
   if (worker_.joinable()) worker_.join();
 }
 
-std::uint64_t WalShipper::acked_lsn() const {
-  std::lock_guard lock(mutex_);
-  return acked_lsn_;
-}
-
 void WalShipper::on_durable(std::uint64_t wal_seq, std::uint64_t first_lsn,
                             std::string_view frames) {
   Item item;
@@ -232,9 +227,7 @@ void WalShipper::ship_session() {
       if (ack_frame.type != net::FrameType::kWalShip) {
         throw WalError("replica spoke a non-replication frame");
       }
-      const AckMsg ack = decode_ack(ack_frame.payload);
-      std::lock_guard lock(mutex_);
-      if (ack.applied_lsn > acked_lsn_) acked_lsn_ = ack.applied_lsn;
+      decode_ack(ack_frame.payload);  // validates; acks only drain the pipe
     }
   }
 }

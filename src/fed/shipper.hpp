@@ -65,9 +65,6 @@ class WalShipper : public storage::WalShipObserver {
   /// destructor calls it.
   void stop();
 
-  /// Highest applied-LSN the replica has acknowledged (for logs/tests).
-  std::uint64_t acked_lsn() const;
-
   // WalShipObserver:
   void on_durable(std::uint64_t wal_seq, std::uint64_t first_lsn,
                   std::string_view frames) override;
@@ -102,7 +99,6 @@ class WalShipper : public storage::WalShipObserver {
   /// connection to die and the next one to catch up from the file.
   bool lost_items_ = false;
   bool stop_ = false;
-  std::uint64_t acked_lsn_ = 0;
   bool started_ = false;
   std::thread worker_;
 };

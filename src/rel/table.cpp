@@ -31,11 +31,6 @@ RowId Table::append_unchecked(Row row) {
   return id;
 }
 
-RowId Table::append_batch(std::vector<Row>&& rows) {
-  for (const Row& row : rows) validate(row);
-  return append_batch_unchecked(std::move(rows));
-}
-
 RowId Table::append_batch_unchecked(std::vector<Row>&& rows) {
   const RowId first = rows_.size();
   for (Row& row : rows) {

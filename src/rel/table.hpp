@@ -67,13 +67,11 @@ class Table {
   /// Pre-sizes row storage for an expected total row count.
   void reserve(std::size_t total_rows) { rows_.reserve(total_rows); }
 
-  /// Validates and appends every row with geometric storage growth; index
-  /// maintenance is deferred to the next probe. `rows` is consumed.
-  /// Returns the id of the first appended row.
-  RowId append_batch(std::vector<Row>&& rows);
-
-  /// append_batch without per-value type checks, for callers whose rows are
-  /// typed correctly by construction (the shredder's row builders).
+  /// Appends every row with geometric storage growth and without per-value
+  /// type checks, for callers whose rows are typed correctly by
+  /// construction (the shredder's row builders); index maintenance is
+  /// deferred to the next probe. `rows` is consumed. Returns the id of the
+  /// first appended row.
   RowId append_batch_unchecked(std::vector<Row>&& rows);
 
   /// Removes all rows and clears indexes.

@@ -113,9 +113,4 @@ std::size_t PagedClobFile::segment_count() const {
   return segments_.size();
 }
 
-std::size_t PagedClobFile::file_bytes() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return end_;
-}
-
 }  // namespace hxrc::storage

@@ -39,8 +39,6 @@ class PagedClobFile final : public rel::ClobPager {
   std::string read_segment(std::uint32_t segment) override;
 
   std::size_t segment_count() const;
-  /// Bytes written to the page file, frames included.
-  std::size_t file_bytes() const;
 
  private:
   struct SegmentLoc {

@@ -23,10 +23,6 @@ WalRecordType record_type(core::MutationEvent::Kind kind) {
       return WalRecordType::kAddAttribute;
     case Kind::kDelete:
       return WalRecordType::kDelete;
-    case Kind::kCreateCollection:
-      return WalRecordType::kCreateCollection;
-    case Kind::kAddToCollection:
-      return WalRecordType::kAddToCollection;
   }
   throw WalError("unknown mutation kind");
 }
@@ -143,23 +139,7 @@ void encode_event_into(WalEncoder& enc, const core::MutationEvent& event) {
     case Kind::kDelete:
       enc.i64(event.object);
       break;
-    case Kind::kCreateCollection:
-      enc.i64(event.collection);
-      enc.i64(event.parent_collection);
-      enc.str(event.name);
-      enc.str(event.owner);
-      break;
-    case Kind::kAddToCollection:
-      enc.i64(event.collection);
-      enc.i64(event.object);
-      break;
   }
-}
-
-std::string encode_event(const core::MutationEvent& event) {
-  WalEncoder enc;
-  encode_event_into(enc, event);
-  return enc.take();
 }
 
 void apply_record(core::MetadataCatalog& catalog, const WalRecord& record) {
@@ -207,21 +187,6 @@ void apply_record(core::MetadataCatalog& catalog, const WalRecord& record) {
       case WalRecordType::kDelete:
         catalog.delete_object(dec.i64());
         break;
-      case WalRecordType::kCreateCollection: {
-        const core::CollectionId collection = dec.i64();
-        const core::CollectionId parent = dec.i64();
-        const std::string name(dec.str());
-        const std::string owner(dec.str());
-        check_id("collection", collection,
-                 catalog.create_collection(name, owner, parent));
-        break;
-      }
-      case WalRecordType::kAddToCollection: {
-        const core::CollectionId collection = dec.i64();
-        const core::ObjectId object = dec.i64();
-        catalog.add_to_collection(collection, object);
-        break;
-      }
       default:
         throw RecoveryError("unknown WAL record type " +
                             std::to_string(static_cast<int>(record.type)));

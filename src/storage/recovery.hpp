@@ -72,11 +72,6 @@ struct RecoveryInfo {
 /// keep per-mutation allocations off the catalog's exclusive lock.
 void encode_event_into(WalEncoder& enc, const core::MutationEvent& event);
 
-/// Convenience form returning a fresh payload string. Exposed for the
-/// fault-injection tests, which need to know exact record boundaries to
-/// build their crash matrix.
-std::string encode_event(const core::MutationEvent& event);
-
 /// Re-applies one scanned WAL record through the catalog API and re-pins
 /// the epoch the record carried. Throws RecoveryError when the replayed
 /// mutation diverges (id drift) — that is corruption the CRC cannot see.

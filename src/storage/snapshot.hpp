@@ -1,8 +1,8 @@
 // Snapshot writer/loader for the durability subsystem.
 //
 // A snapshot is the whole catalog state (registry, annotated-schema-derived
-// definitions, shredded tables, ordering tables, collections, CLOB store,
-// same-sibling counters, version epoch) in the `HXRCCAT 2` catalog stream
+// definitions, shredded tables, ordering tables, CLOB store, same-sibling
+// counters, version epoch) in the `HXRCCAT 3` catalog stream
 // (MetadataCatalog::save), wrapped for crash safety:
 //
 //   file    := "HXSNAP 1\n" payload trailer

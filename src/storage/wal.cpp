@@ -217,12 +217,9 @@ WalWriter::WalWriter(std::unique_ptr<File> file, WalOptions options,
   ship_next_lsn_ = initial_records + 1;
   if (file_->size() == 0) {
     file_->write(kWalMagic, sizeof kWalMagic);
-    bytes_ = sizeof kWalMagic;
     if (metrics_ != nullptr) {
       metrics_->wal_bytes.fetch_add(sizeof kWalMagic, std::memory_order_relaxed);
     }
-  } else {
-    bytes_ = file_->size();
   }
   if (options_.sync) {
     flusher_ = std::thread([this] { flusher_loop(); });
@@ -244,7 +241,6 @@ std::uint64_t WalWriter::append(WalRecordType type, std::uint64_t epoch,
   if (stop_) throw WalError("WAL writer is closed");
   const std::size_t before = pending_.size();
   encode_frame(pending_, type, epoch, payload);
-  bytes_ += pending_.size() - before;
   const std::uint64_t lsn = ++appended_records_;
   if (ship_sink_) {
     const std::string_view frame(pending_.data() + before, pending_.size() - before);
@@ -318,7 +314,6 @@ void WalWriter::sync_locked(std::unique_lock<std::mutex>& lock) {
     failed_ = true;
   } else if (target > synced_records_) {
     synced_records_ = target;
-    ++fsyncs_;
     if (metrics_ != nullptr) metrics_->wal_fsyncs.fetch_add(1, std::memory_order_relaxed);
     ship_synced_locked();
   }
@@ -472,21 +467,6 @@ void WalWriter::close() {
 std::uint64_t WalWriter::records() const {
   std::lock_guard lock(mutex_);
   return appended_records_;
-}
-
-std::uint64_t WalWriter::bytes() const {
-  std::lock_guard lock(mutex_);
-  return bytes_;
-}
-
-std::uint64_t WalWriter::fsyncs() const {
-  std::lock_guard lock(mutex_);
-  return fsyncs_;
-}
-
-std::uint64_t WalWriter::synced_records() const {
-  std::lock_guard lock(mutex_);
-  return synced_records_;
 }
 
 }  // namespace hxrc::storage

@@ -56,8 +56,8 @@ enum class WalRecordType : std::uint8_t {
   kDefine = 2,
   kAddAttribute = 3,
   kDelete = 4,
-  kCreateCollection = 5,
-  kAddToCollection = 6,
+  // 5 and 6 are reserved: they logged the retired collection mutations.
+  // Replay rejects them as unknown types; do not reassign them.
 };
 
 inline constexpr char kWalMagic[8] = {'H', 'X', 'W', 'A', 'L', '1', '\n', '\0'};
@@ -257,10 +257,6 @@ class WalWriter {
   void close();
 
   std::uint64_t records() const;
-  std::uint64_t bytes() const;
-  std::uint64_t fsyncs() const;
-  /// Records acknowledged durable (fsync passed their LSN).
-  std::uint64_t synced_records() const;
 
  private:
   /// Drain pending_ to the OS (no fsync) once it grows past this. With sync
@@ -286,8 +282,6 @@ class WalWriter {
   std::condition_variable synced_cv_; // wakes flush() waiters
   std::uint64_t appended_records_ = 0;
   std::uint64_t synced_records_ = 0;
-  std::uint64_t bytes_ = 0;
-  std::uint64_t fsyncs_ = 0;
   bool failed_ = false;
   bool stop_ = false;
   bool syncing_ = false;

@@ -53,14 +53,4 @@ bool Prng::chance(double p) noexcept {
   return uniform01() < p;
 }
 
-std::string Prng::identifier(std::size_t length) {
-  static constexpr char kAlphabet[] = "abcdefghijklmnopqrstuvwxyz";
-  std::string out;
-  out.reserve(length);
-  for (std::size_t i = 0; i < length; ++i) {
-    out.push_back(kAlphabet[uniform(0, 25)]);
-  }
-  return out;
-}
-
 }  // namespace hxrc::util

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace hxrc::util {
@@ -60,9 +59,6 @@ class Prng {
       std::swap(items[i - 1], items[j]);
     }
   }
-
-  /// Random lowercase ASCII identifier of the given length.
-  std::string identifier(std::size_t length);
 
   /// Fork an independent stream; forked streams do not perturb the parent
   /// beyond one draw, so inserting a new consumer does not reshuffle others.

@@ -33,31 +33,11 @@ std::vector<std::string_view> split(std::string_view s, char delim) {
   return out;
 }
 
-std::string join(const std::vector<std::string>& pieces, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
-    if (i > 0) out += sep;
-    out += pieces[i];
-  }
-  return out;
-}
-
 std::string to_lower(std::string_view s) {
   std::string out(s);
   std::transform(out.begin(), out.end(), out.begin(),
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
   return out;
-}
-
-bool iequals(std::string_view a, std::string_view b) noexcept {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (std::tolower(static_cast<unsigned char>(a[i])) !=
-        std::tolower(static_cast<unsigned char>(b[i]))) {
-      return false;
-    }
-  }
-  return true;
 }
 
 bool starts_with(std::string_view s, std::string_view prefix) noexcept {

@@ -15,14 +15,8 @@ std::string_view trim(std::string_view s) noexcept;
 /// Splits on a single delimiter character; empty fields are preserved.
 std::vector<std::string_view> split(std::string_view s, char delim);
 
-/// Joins pieces with a separator.
-std::string join(const std::vector<std::string>& pieces, std::string_view sep);
-
 /// ASCII lowercase copy.
 std::string to_lower(std::string_view s);
-
-/// Case-insensitive ASCII comparison.
-bool iequals(std::string_view a, std::string_view b) noexcept;
 
 bool starts_with(std::string_view s, std::string_view prefix) noexcept;
 

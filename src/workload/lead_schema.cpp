@@ -106,8 +106,6 @@ core::PartitionAnnotations lead_annotations() {
   return annotations;
 }
 
-std::string lead_schema_xml() { return xml::save_schema(lead_schema()); }
-
 std::string fig3_document() {
   return R"(<LEADresource>
   <resourceID>arps-run-42</resourceID>

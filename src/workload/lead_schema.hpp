@@ -39,10 +39,6 @@ xml::Schema lead_schema();
 /// The attribute-root annotation set for lead_schema().
 core::PartitionAnnotations lead_annotations();
 
-/// The same schema in the compact XML description format (round-trips
-/// through xml::load_schema; used by examples and loader tests).
-std::string lead_schema_xml();
-
 /// The Fig. 3 example document (two theme attributes, one dynamic "grid"
 /// attribute with a nested "grid-stretching" sub-attribute).
 std::string fig3_document();

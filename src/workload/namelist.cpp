@@ -104,29 +104,6 @@ std::vector<NamelistGroup> parse_namelist(std::string_view text) {
   return groups;
 }
 
-std::string write_namelist(const std::vector<NamelistGroup>& groups) {
-  std::string out;
-  for (const NamelistGroup& group : groups) {
-    out += "&" + group.name + "\n";
-    for (const NamelistEntry& entry : group.entries) {
-      out += "  " + entry.key + " = ";
-      for (std::size_t i = 0; i < entry.values.size(); ++i) {
-        if (i > 0) out += ", ";
-        const std::string& value = entry.values[i];
-        // Quote anything that does not parse as a number.
-        if (util::parse_double(value)) {
-          out += value;
-        } else {
-          out += "'" + value + "'";
-        }
-      }
-      out += ",\n";
-    }
-    out += "/\n";
-  }
-  return out;
-}
-
 xml::NodePtr namelist_group_to_detailed(const NamelistGroup& group,
                                         const std::string& model,
                                         const core::DynamicConvention& c) {

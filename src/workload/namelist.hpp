@@ -45,9 +45,6 @@ struct NamelistGroup {
 /// Parses a namelist file (possibly several groups).
 std::vector<NamelistGroup> parse_namelist(std::string_view text);
 
-/// Renders groups back to namelist syntax (round-trips modulo whitespace).
-std::string write_namelist(const std::vector<NamelistGroup>& groups);
-
 /// Converts one group into a <detailed> dynamic-attribute element per the
 /// convention: the group name becomes the attribute name (enttypl), `model`
 /// the source (enttypds); derived-type components become nested

@@ -2,20 +2,8 @@
 
 #include "util/string_util.hpp"
 #include "xml/parser.hpp"
-#include "xml/writer.hpp"
 
 namespace hxrc::xml {
-
-std::string_view to_string(LeafType type) noexcept {
-  switch (type) {
-    case LeafType::kNone: return "none";
-    case LeafType::kString: return "string";
-    case LeafType::kInt: return "int";
-    case LeafType::kDouble: return "double";
-    case LeafType::kDate: return "date";
-  }
-  return "none";
-}
 
 LeafType leaf_type_from_string(std::string_view s) {
   if (s == "none") return LeafType::kNone;
@@ -43,12 +31,6 @@ const SchemaNode* SchemaNode::child(std::string_view name) const noexcept {
   return nullptr;
 }
 
-std::size_t SchemaNode::depth() const noexcept {
-  std::size_t d = 0;
-  for (const SchemaNode* p = parent_; p != nullptr; p = p->parent_) ++d;
-  return d;
-}
-
 const SchemaNode* Schema::find(std::string_view path) const noexcept {
   const SchemaNode* node = root_.get();
   if (path.empty()) return node;
@@ -65,12 +47,6 @@ std::size_t count_nodes(const SchemaNode& node) {
   std::size_t count = 1;
   for (const auto& child : node.children()) count += count_nodes(*child);
   return count;
-}
-
-void visit_preorder(const SchemaNode& node,
-                    const std::function<void(const SchemaNode&)>& fn) {
-  fn(node);
-  for (const auto& child : node.children()) visit_preorder(*child, fn);
 }
 
 void load_children(const Node& decl, SchemaNode& target) {
@@ -109,30 +85,9 @@ void load_children(const Node& decl, SchemaNode& target) {
   }
 }
 
-void save_node(Node& parent, const SchemaNode& node) {
-  Node* decl = parent.add_element("element");
-  decl->add_attribute("name", node.name());
-  if (node.leaf_type() != LeafType::kNone) {
-    decl->add_attribute("type", std::string(to_string(node.leaf_type())));
-  }
-  if (node.repeatable()) decl->add_attribute("maxOccurs", "unbounded");
-  decl->add_attribute("minOccurs", node.optional() ? "0" : "1");
-  if (node.recursive()) decl->add_attribute("recursive", "true");
-  for (const auto& attr : node.xml_attributes()) {
-    Node* attr_decl = decl->add_element("attribute");
-    attr_decl->add_attribute("name", attr.name);
-    attr_decl->add_attribute("use", attr.required ? "required" : "optional");
-  }
-  for (const auto& child : node.children()) save_node(*decl, *child);
-}
-
 }  // namespace
 
 std::size_t Schema::node_count() const noexcept { return count_nodes(*root_); }
-
-void Schema::visit(const std::function<void(const SchemaNode&)>& fn) const {
-  visit_preorder(*root_, fn);
-}
 
 Schema load_schema(std::string_view xml_text) {
   Document doc = parse(xml_text);
@@ -146,18 +101,6 @@ Schema load_schema(std::string_view xml_text) {
   schema.root().set_optional(false);
   load_children(*doc.root, schema.root());
   return schema;
-}
-
-std::string save_schema(const Schema& schema) {
-  NodePtr root = Node::element("schema");
-  root->add_attribute("root", schema.root().name());
-  for (const auto& attr : schema.root().xml_attributes()) {
-    Node* attr_decl = root->add_element("attribute");
-    attr_decl->add_attribute("name", attr.name);
-    attr_decl->add_attribute("use", attr.required ? "required" : "optional");
-  }
-  for (const auto& child : schema.root().children()) save_node(*root, *child);
-  return write(*root, WriteOptions{.declaration = false, .indent = 2});
 }
 
 }  // namespace hxrc::xml

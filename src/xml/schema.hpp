@@ -5,11 +5,10 @@
 // structural facts the hybrid partitioner consumes: element nesting,
 // cardinality (single vs. repeatable), optionality, declared XML attributes,
 // self-recursion, and leaf value types. This module models exactly that, and
-// can load/save a compact XML schema-description format so schemas are
-// data, not code.
+// can load a compact XML schema-description format so schemas are data, not
+// code.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -21,7 +20,6 @@ namespace hxrc::xml {
 /// Value type of a leaf element. kNone marks interior elements.
 enum class LeafType { kNone, kString, kInt, kDouble, kDate };
 
-std::string_view to_string(LeafType type) noexcept;
 LeafType leaf_type_from_string(std::string_view s);
 
 /// Declaration of an XML attribute on an element.
@@ -92,9 +90,6 @@ class SchemaNode {
   /// Child declaration by name, or nullptr.
   const SchemaNode* child(std::string_view name) const noexcept;
 
-  /// Depth from the root (root = 0).
-  std::size_t depth() const noexcept;
-
  private:
   std::string name_;
   LeafType leaf_type_ = LeafType::kNone;
@@ -125,9 +120,6 @@ class Schema {
   /// Total number of element declarations.
   std::size_t node_count() const noexcept;
 
-  /// Pre-order traversal.
-  void visit(const std::function<void(const SchemaNode&)>& fn) const;
-
  private:
   std::unique_ptr<SchemaNode> root_;
 };
@@ -148,7 +140,5 @@ class Schema {
 /// Throws SchemaError / ParseError on malformed input.
 Schema load_schema(std::string_view xml_text);
 
-/// Serializes a schema back to the description format (round-trips).
-std::string save_schema(const Schema& schema);
 
 }  // namespace hxrc::xml

@@ -116,33 +116,6 @@ TEST(AnnotatedSchema, ConventionOverride) {
             std::vector<ObjectId>{id});
 }
 
-TEST(AnnotatedSchema, SaveLoadRoundTrip) {
-  const AnnotatedSchema original = load_annotated_schema(kAnnotated);
-  const std::string text =
-      save_annotated_schema(original.schema, original.annotations);
-  const AnnotatedSchema reloaded = load_annotated_schema(text);
-  ASSERT_EQ(reloaded.annotations.attributes.size(),
-            original.annotations.attributes.size());
-  for (std::size_t i = 0; i < original.annotations.attributes.size(); ++i) {
-    EXPECT_EQ(reloaded.annotations.attributes[i].path,
-              original.annotations.attributes[i].path);
-    EXPECT_EQ(reloaded.annotations.attributes[i].dynamic,
-              original.annotations.attributes[i].dynamic);
-    EXPECT_EQ(reloaded.annotations.attributes[i].queryable,
-              original.annotations.attributes[i].queryable);
-  }
-  EXPECT_EQ(reloaded.schema.node_count(), original.schema.node_count());
-}
-
-TEST(AnnotatedSchema, LeadSchemaRoundTripsWithAnnotations) {
-  const xml::Schema schema = workload::lead_schema();
-  const PartitionAnnotations annotations = workload::lead_annotations();
-  const std::string text = save_annotated_schema(schema, annotations);
-  const AnnotatedSchema reloaded = load_annotated_schema(text);
-  EXPECT_EQ(reloaded.annotations.attributes.size(), annotations.attributes.size());
-  EXPECT_NO_THROW(Partition::build(reloaded.schema, reloaded.annotations));
-}
-
 TEST(AnnotatedSchema, RejectsBadAnnotation) {
   EXPECT_THROW(load_annotated_schema(
                    R"(<schema root="r"><element name="x" metadata="bogus"/></schema>)"),

@@ -1,13 +1,11 @@
-// Catalog browsing (§4 GUI support): attribute/element listings, value
-// statistics, sorted and paginated query results.
+// Catalog browsing (§4 GUI support): the attribute listing with instance
+// counts and per-user visibility.
 #include <gtest/gtest.h>
 
 #include "core/browse.hpp"
 #include "core/catalog.hpp"
-#include "util/string_util.hpp"
 #include "workload/generator.hpp"
 #include "workload/lead_schema.hpp"
-#include "workload/query_gen.hpp"
 
 namespace hxrc::core {
 namespace {
@@ -75,110 +73,6 @@ TEST_F(BrowseTest, PrivateDefinitionsVisibleOnlyToOwner) {
   EXPECT_TRUE(has_secret("alice"));
   EXPECT_FALSE(has_secret("bob"));
   EXPECT_FALSE(has_secret(""));
-}
-
-TEST_F(BrowseTest, ElementListingWithStatistics) {
-  const AttributeDef* theme = catalog_.registry().find_attribute("theme", "", kNoAttr);
-  ASSERT_NE(theme, nullptr);
-  const auto elements = browser_.elements(theme->id);
-  ASSERT_EQ(elements.size(), 2u);  // themekt, themekey
-  for (const ElementSummary& summary : elements) {
-    EXPECT_GT(summary.values, 0u);
-    EXPECT_GT(summary.distinct_values, 0u);
-    EXPECT_LE(summary.distinct_values, summary.values);
-  }
-}
-
-TEST_F(BrowseTest, TopValuesAreFrequencyOrdered) {
-  const AttributeDef* theme = catalog_.registry().find_attribute("theme", "", kNoAttr);
-  const ElementDef* themekt = catalog_.registry().find_element("themekt", "", theme->id);
-  ASSERT_NE(themekt, nullptr);
-  const auto values = browser_.top_values(themekt->id);
-  ASSERT_FALSE(values.empty());
-  EXPECT_EQ(values[0].value, "CF NetCDF");  // every theme uses it
-  for (std::size_t i = 1; i < values.size(); ++i) {
-    EXPECT_GE(values[i - 1].count, values[i].count);
-  }
-
-  const auto limited = browser_.top_values(themekt->id, 1);
-  EXPECT_EQ(limited.size(), 1u);
-}
-
-TEST_F(BrowseTest, QuerySortedByElementValue) {
-  // All objects with a theme, sorted by resourceID (string element).
-  ObjectQuery query;
-  query.add_attribute(AttrQuery("theme"));
-  ResultOrder order;
-  order.attribute_name = "resourceID";
-  order.element_name = "resourceID";
-  const auto sorted = browser_.query_sorted(query, order);
-  ASSERT_GT(sorted.size(), 2u);
-
-  // Verify ordering against the actual values.
-  auto key_of = [&](ObjectId id) {
-    const xml::Document doc = catalog_.fetch(id);
-    return doc.root->child_text("resourceID");
-  };
-  for (std::size_t i = 1; i < sorted.size(); ++i) {
-    EXPECT_LE(key_of(sorted[i - 1]), key_of(sorted[i]));
-  }
-
-  // Descending flips the order.
-  order.descending = true;
-  const auto reversed = browser_.query_sorted(query, order);
-  ASSERT_EQ(reversed.size(), sorted.size());
-  EXPECT_EQ(reversed.front(), sorted.back());
-}
-
-TEST_F(BrowseTest, PaginationSlicesTheOrderedList) {
-  ObjectQuery query;
-  query.add_attribute(AttrQuery("theme"));
-  ResultOrder order;
-  order.attribute_name = "resourceID";
-  order.element_name = "resourceID";
-  const auto all = browser_.query_sorted(query, order);
-  ASSERT_GE(all.size(), 5u);
-
-  const auto page1 = browser_.query_sorted(query, order, 0, 2);
-  const auto page2 = browser_.query_sorted(query, order, 2, 2);
-  ASSERT_EQ(page1.size(), 2u);
-  ASSERT_EQ(page2.size(), 2u);
-  EXPECT_EQ(page1[0], all[0]);
-  EXPECT_EQ(page1[1], all[1]);
-  EXPECT_EQ(page2[0], all[2]);
-
-  EXPECT_TRUE(browser_.query_sorted(query, order, all.size(), 2).empty());
-}
-
-TEST_F(BrowseTest, SortByNumericDynamicElement) {
-  ObjectQuery query;
-  query.add_attribute(AttrQuery("grid", "ARPS"));
-  ResultOrder order;
-  order.attribute_name = "grid";
-  order.attribute_source = "ARPS";
-  order.element_name = "dx";
-  const auto sorted = browser_.query_sorted(query, order);
-  ASSERT_FALSE(sorted.empty());
-  // Numeric, not lexicographic: fetch dx values and verify monotone.
-  double last = -1e300;
-  for (const ObjectId id : sorted) {
-    const xml::Document doc = catalog_.fetch(id);
-    double best = 1e300;
-    bool found = false;
-    for (const xml::Node* item : xml::select(
-             *doc.root,
-             "//detailed[enttyp/enttypl='grid'][enttyp/enttypds='ARPS']/attr")) {
-      if (item->child_text("attrlabl") != "dx") continue;
-      const auto v = util::parse_double(item->child_text("attrv"));
-      if (v && *v < best) {
-        best = *v;
-        found = true;
-      }
-    }
-    if (!found) continue;  // objects lacking dx sort last; skip check
-    EXPECT_GE(best, last);
-    last = best;
-  }
 }
 
 }  // namespace

@@ -78,10 +78,10 @@ TEST(CatalogConcurrency, MixedIngestQueryAddDeleteStress) {
   // Writer: late-arriving metadata attributes on the preloaded objects.
   threads.emplace_back([&] {
     for (int i = 0; i < kReaderRounds; ++i) {
-      catalog.add_attribute_xml(
+      catalog.add_attribute(
           i % kPreloaded, "data/idinfo/keywords/theme",
-          "<theme><themekt>CF</themekt><themekey>stress_key_" + std::to_string(i) +
-              "</themekey></theme>",
+          *xml::parse_fragment("<theme><themekt>CF</themekt><themekey>stress_key_" +
+                               std::to_string(i) + "</themekey></theme>"),
           "u");
     }
   });
@@ -113,11 +113,11 @@ TEST(CatalogConcurrency, MixedIngestQueryAddDeleteStress) {
         ObjectQuery paged = q;
         paged.set_limit(3);
         try {
-          QueryPage page = catalog.query_paged(paged);
+          QueryPage page = catalog.read_guard().query_paged(paged);
           if (!page.next_cursor.empty()) {
             ObjectQuery next = q;
             next.set_limit(3).set_cursor(page.next_cursor);
-            catalog.query_paged(next);
+            catalog.read_guard().query_paged(next);
           }
         } catch (const StaleCursorError&) {
           // A writer moved the epoch between pages — the designed outcome.
@@ -230,11 +230,12 @@ TEST(CatalogConcurrency, PinnedSnapshotIsImmuneToConcurrentCommits) {
     for (std::size_t extra = 2; extra < churners; ++extra) {
       threads.emplace_back([&, extra] {
         for (int i = 0; i < kChurnRounds; ++i) {
-          catalog.add_attribute_xml(
+          catalog.add_attribute(
               static_cast<ObjectId>((i + static_cast<int>(extra)) % kSeedDocs),
               "data/idinfo/keywords/theme",
-              "<theme><themekt>CF</themekt><themekey>churn_" + std::to_string(extra) +
-                  "_" + std::to_string(i) + "</themekey></theme>",
+              *xml::parse_fragment("<theme><themekt>CF</themekt><themekey>churn_" +
+                                   std::to_string(extra) + "_" + std::to_string(i) +
+                                   "</themekey></theme>"),
               "u");
         }
       });

@@ -151,11 +151,12 @@ TEST(WalWriter, AppendsScannableRecords) {
   real_fs().create_dirs(dir);
   const std::string path = dir + "/wal.0.log";
   {
-    WalWriter writer(real_fs().open_append(path), WalOptions{}, nullptr);
+    util::DurabilityMetrics metrics;
+    WalWriter writer(real_fs().open_append(path), WalOptions{}, &metrics);
     EXPECT_EQ(writer.append(WalRecordType::kIngest, 1, "one"), 1u);
     EXPECT_EQ(writer.append(WalRecordType::kDelete, 2, "two"), 2u);
     writer.flush();
-    EXPECT_GE(writer.fsyncs(), 1u);
+    EXPECT_GE(metrics.wal_fsyncs.load(), 1u);
     writer.close();
   }
   const WalScan scan = scan_wal(real_fs().read_file(path));
@@ -174,15 +175,16 @@ TEST(WalWriter, GroupCommitBatchesFsyncs) {
   options.fsync_every_ms = 10'000;  // force the count-based trigger
   options.fsync_every_n = 8;
   {
-    WalWriter writer(fs.open_append(dir + "/wal.0.log"), options, nullptr);
+    util::DurabilityMetrics metrics;
+    WalWriter writer(fs.open_append(dir + "/wal.0.log"), options, &metrics);
     for (int i = 0; i < 64; ++i) {
       writer.append(WalRecordType::kIngest, static_cast<std::uint64_t>(i), "p");
     }
     writer.flush();
     // 64 records at one fsync per 8 — plus at most a couple of extras from
     // flush() itself racing the flusher. Far fewer than one per record.
-    EXPECT_LE(writer.fsyncs(), 16u);
-    EXPECT_GE(writer.fsyncs(), 1u);
+    EXPECT_LE(metrics.wal_fsyncs.load(), 16u);
+    EXPECT_GE(metrics.wal_fsyncs.load(), 1u);
     writer.close();
   }
   EXPECT_LE(fs.syncs(), 17u);  // close() adds one more at most

@@ -72,21 +72,6 @@ TEST(Namelist, Errors) {
   EXPECT_THROW(parse_namelist("&g\n a = 'unterminated\n/\n"), NamelistError);
 }
 
-TEST(Namelist, WriteRoundTrips) {
-  const auto groups = parse_namelist(kArps);
-  const std::string text = write_namelist(groups);
-  const auto reparsed = parse_namelist(text);
-  ASSERT_EQ(reparsed.size(), groups.size());
-  for (std::size_t g = 0; g < groups.size(); ++g) {
-    EXPECT_EQ(reparsed[g].name, groups[g].name);
-    ASSERT_EQ(reparsed[g].entries.size(), groups[g].entries.size());
-    for (std::size_t e = 0; e < groups[g].entries.size(); ++e) {
-      EXPECT_EQ(reparsed[g].entries[e].key, groups[g].entries[e].key);
-      EXPECT_EQ(reparsed[g].entries[e].values, groups[g].entries[e].values);
-    }
-  }
-}
-
 TEST(Namelist, ConvertsToDetailedElement) {
   const auto groups = parse_namelist(
       "&grid\n dx = 1000.0,\n grid_stretching%dzmin = 100.0,\n/\n");

@@ -64,7 +64,6 @@ TEST(Partition, OrderingStopsAtAttributeRoots) {
   const xml::SchemaNode* themekt = schema.find("data/idinfo/keywords/theme/themekt");
   ASSERT_NE(themekt, nullptr);
   EXPECT_EQ(partition.order_of(*themekt), core::kNoOrder);
-  EXPECT_EQ(partition.role(*themekt), core::NodeRole::kElement);
 }
 
 TEST(Partition, AncestorInvertedListIsNearestFirst) {
@@ -86,16 +85,44 @@ TEST(Partition, RolesAreAssigned) {
   const xml::Schema schema = workload::lead_schema();
   const Partition partition = Partition::build(schema, workload::lead_annotations());
 
-  EXPECT_EQ(partition.role(schema.root()), core::NodeRole::kAncestor);
-  EXPECT_EQ(partition.role(*schema.find("data/idinfo")), core::NodeRole::kAncestor);
-  EXPECT_EQ(partition.role(*schema.find("data/idinfo/status")),
-            core::NodeRole::kAttributeRoot);
-  EXPECT_EQ(partition.role(*schema.find("resourceID")),
-            core::NodeRole::kAttributeElement);
-  EXPECT_EQ(partition.role(*schema.find("data/geospatial/eainfo/detailed/attr")),
-            core::NodeRole::kSubAttribute);
-  EXPECT_EQ(partition.role(*schema.find("data/geospatial/eainfo/detailed/attr/attrlabl")),
-            core::NodeRole::kElement);
+  // The shredder reads a node's role from its order and root entry:
+  // ancestors are ordered without a root entry, attribute roots (and
+  // attribute-elements, the leaf roots) are ordered with one, and nodes
+  // inside an attribute are unordered.
+  const auto root_info = [&](std::string_view path) {
+    const xml::SchemaNode* node = path.empty() ? &schema.root() : schema.find(path);
+    EXPECT_NE(node, nullptr) << path;
+    const core::OrderId order = partition.order_of(*node);
+    return order == core::kNoOrder ? nullptr : partition.root_at(order);
+  };
+  const auto ordered = [&](std::string_view path) {
+    return partition.order_of(*schema.find(path)) != core::kNoOrder;
+  };
+
+  EXPECT_NE(partition.order_of(schema.root()), core::kNoOrder);  // ancestor
+  EXPECT_EQ(root_info(""), nullptr);
+  EXPECT_TRUE(ordered("data/idinfo"));  // ancestor
+  EXPECT_EQ(root_info("data/idinfo"), nullptr);
+
+  const core::AttributeRootInfo* status = root_info("data/idinfo/status");
+  ASSERT_NE(status, nullptr);  // attribute root
+  EXPECT_EQ(status->path, "data/idinfo/status");
+  EXPECT_FALSE(status->schema_node->is_leaf());
+
+  const core::AttributeRootInfo* resource = root_info("resourceID");
+  ASSERT_NE(resource, nullptr);  // attribute-element
+  EXPECT_TRUE(resource->schema_node->is_leaf());
+
+  const xml::SchemaNode* attr = schema.find("data/geospatial/eainfo/detailed/attr");
+  ASSERT_NE(attr, nullptr);  // sub-attribute
+  EXPECT_FALSE(ordered("data/geospatial/eainfo/detailed/attr"));
+  EXPECT_FALSE(attr->is_leaf());
+
+  const xml::SchemaNode* label =
+      schema.find("data/geospatial/eainfo/detailed/attr/attrlabl");
+  ASSERT_NE(label, nullptr);  // element
+  EXPECT_FALSE(ordered("data/geospatial/eainfo/detailed/attr/attrlabl"));
+  EXPECT_TRUE(label->is_leaf());
 }
 
 TEST(PartitionRules, UncoveredRepeatableElementIsRejected) {
@@ -162,26 +189,6 @@ TEST(PartitionRules, SchemaRootCannotBeAttribute) {
   annotations.attributes.push_back(AttributeAnnotation{"", false, true});
   const auto diagnostics = Partition::check_rules(schema, annotations);
   EXPECT_FALSE(diagnostics.empty());
-}
-
-TEST(PartitionInfer, InferredLeadAnnotationSatisfiesRules) {
-  const xml::Schema schema = workload::lead_schema();
-  const PartitionAnnotations inferred = Partition::infer(schema);
-  const auto diagnostics = Partition::check_rules(schema, inferred);
-  for (const auto& d : diagnostics) {
-    ADD_FAILURE() << d.path << ": " << d.message;
-  }
-  // The recursive detailed subtree must have been marked dynamic.
-  bool found_dynamic = false;
-  for (const auto& annotation : inferred.attributes) {
-    if (annotation.dynamic) found_dynamic = true;
-  }
-  EXPECT_TRUE(found_dynamic);
-}
-
-TEST(PartitionInfer, InferredPartitionBuilds) {
-  const xml::Schema schema = workload::lead_schema();
-  EXPECT_NO_THROW(Partition::build(schema, Partition::infer(schema)));
 }
 
 }  // namespace

@@ -101,11 +101,13 @@ TEST_F(PathQueryTest, AttributeElementSelfPredicate) {
 }
 
 TEST_F(PathQueryTest, ConjunctionOfMultiplePaths) {
-  const ObjectQuery query = paths_to_query(
-      catalog_.partition(),
-      {"//theme[themekt='CF NetCDF']",
-       "//detailed[enttyp/enttypl='grid' and enttyp/enttypds='ARPS']"
-       "[attr[attrlabl='dx' and attrv=1000]]"});
+  ObjectQuery query;
+  for (const char* expression :
+       {"//theme[themekt='CF NetCDF']",
+        "//detailed[enttyp/enttypl='grid' and enttyp/enttypds='ARPS']"
+        "[attr[attrlabl='dx' and attrv=1000]]"}) {
+    query.add_attribute(path_to_query(catalog_.partition(), expression).attributes()[0]);
+  }
   const auto hits = catalog_.query(query);
   ASSERT_FALSE(hits.empty());
   EXPECT_EQ(hits[0], fig3_);

@@ -90,17 +90,6 @@ TEST(Prng, ShuffleIsPermutation) {
   EXPECT_EQ(copy, items);
 }
 
-TEST(Prng, IdentifierShapeAndDeterminism) {
-  Prng a(77);
-  Prng b(77);
-  const auto ida = a.identifier(12);
-  EXPECT_EQ(ida.size(), 12u);
-  for (const char c : ida) {
-    EXPECT_TRUE(c >= 'a' && c <= 'z');
-  }
-  EXPECT_EQ(ida, b.identifier(12));
-}
-
 TEST(Prng, ForkIsIndependentStream) {
   Prng parent(55);
   Prng fork = parent.fork();

@@ -263,7 +263,7 @@ TEST(QueryCache, CursorPagesReuseMemoizedIdSet) {
     ObjectQuery page_query = base;
     page_query.set_limit(1);
     if (!cursor.empty()) page_query.set_cursor(cursor);
-    const QueryPage page = catalog.query_paged(page_query);
+    const QueryPage page = catalog.read_guard().query_paged(page_query);
     collected.insert(collected.end(), page.ids.begin(), page.ids.end());
     if (page.next_cursor.empty()) break;
     cursor = page.next_cursor;

@@ -17,6 +17,7 @@
 #include "workload/lead_schema.hpp"
 #include "workload/query_gen.hpp"
 #include "xml/canonical.hpp"
+#include "xml/parser.hpp"
 
 namespace hxrc::storage {
 namespace {
@@ -88,14 +89,12 @@ std::vector<std::function<void(MetadataCatalog&)>> mutation_script() {
     c.ingest((*docs)[3], "doc-3", "carol");
   });
   steps.push_back([](MetadataCatalog& c) {
-    c.add_attribute_xml(1, "data/idinfo/keywords/theme",
-                        "<theme><themekt>lead</themekt><themekey>tornado</themekey></theme>",
-                        "alice");
+    c.add_attribute(1, "data/idinfo/keywords/theme",
+                    *xml::parse_fragment(
+                        "<theme><themekt>lead</themekt><themekey>tornado</themekey></theme>"),
+                    "alice");
   });
   steps.push_back([](MetadataCatalog& c) { c.delete_object(2); });
-  steps.push_back([](MetadataCatalog& c) { c.create_collection("runs", "alice"); });
-  steps.push_back([](MetadataCatalog& c) { c.create_collection("nested", "alice", 0); });
-  steps.push_back([](MetadataCatalog& c) { c.add_to_collection(1, 3); });
   steps.push_back([docs](MetadataCatalog& c) {
     c.ingest((*docs)[4], "doc-4", "dave");
   });
@@ -299,7 +298,7 @@ TEST(Recovery, CursorsGoStaleAcrossRestart) {
     for (std::size_t i = 0; i < kDocs; ++i) {
       catalog.ingest_xml(workload::fig3_document(), "d" + std::to_string(i), "u");
     }
-    const core::QueryPage page = catalog.query_paged(paged_query());
+    const core::QueryPage page = catalog.read_guard().query_paged(paged_query());
     ASSERT_FALSE(page.next_cursor.empty());
     cursor = page.next_cursor;
     pre_crash_version = catalog.version();
@@ -314,12 +313,47 @@ TEST(Recovery, CursorsGoStaleAcrossRestart) {
   EXPECT_GT(catalog.version(), pre_crash_version);
   core::ObjectQuery resumed = paged_query();
   resumed.set_cursor(cursor);
-  EXPECT_THROW(catalog.query_paged(resumed), core::StaleCursorError);
+  EXPECT_THROW(catalog.read_guard().query_paged(resumed), core::StaleCursorError);
   // A fresh query works and sees everything.
   EXPECT_EQ(catalog.query(workload::theme_keyword_query("convective_precipitation_flux"))
                 .size(),
             kDocs);
   durable.close();
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Recovery, RetiredRecordTypeInTailFailsRecovery) {
+  // Types 5 and 6 logged the retired collection mutations; a log that still
+  // carries one is refused by name rather than replayed past.
+  const xml::Schema schema = workload::lead_schema();
+  const auto steps = mutation_script();
+  const std::string dir = fresh_dir("retired_type");
+  {
+    MetadataCatalog catalog(schema, workload::lead_annotations(), auto_define_config());
+    DurableCatalog durable(catalog, {dir, eager_sync()});
+    for (std::size_t i = 0; i < 3; ++i) steps[i](catalog);
+    durable.close();
+  }
+  WalEncoder payload;
+  payload.i64(0);
+  payload.i64(-1);
+  payload.str("runs");
+  payload.str("alice");
+  std::string frame;
+  encode_frame(frame, static_cast<WalRecordType>(5), 4, payload.bytes());
+  const auto wal = real_fs().open_append(dir + "/" + wal_name(0));
+  wal->write(frame.data(), frame.size());
+  wal->sync();
+  wal->close();
+
+  MetadataCatalog catalog(schema, workload::lead_annotations(), auto_define_config());
+  try {
+    DurableCatalog durable(catalog, {dir, eager_sync()});
+    ADD_FAILURE() << "recovery replayed a type-5 record";
+  } catch (const RecoveryError& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown WAL record type 5"), std::string::npos)
+        << e.what();
+  }
   std::filesystem::remove_all(dir);
 }
 

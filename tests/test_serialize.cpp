@@ -10,6 +10,7 @@
 #include "workload/lead_schema.hpp"
 #include "workload/query_gen.hpp"
 #include "xml/canonical.hpp"
+#include "xml/parser.hpp"
 
 namespace hxrc {
 namespace {
@@ -138,9 +139,6 @@ TEST(CatalogPersistence, FullSaveRestoreRoundTrip) {
   for (std::size_t i = 0; i < docs.size(); ++i) {
     original.ingest(docs[i], "d" + std::to_string(i), "alice");
   }
-  const core::CollectionId experiment = original.create_collection("exp", "alice");
-  original.add_to_collection(experiment, 3);
-  original.add_to_collection(experiment, 7);
   original.thesaurus().add_synonym("spacing", "", "dx", "ARPS");
 
   std::stringstream stream;
@@ -168,9 +166,7 @@ TEST(CatalogPersistence, FullSaveRestoreRoundTrip) {
               xml::canonical(restored.fetch(static_cast<core::ObjectId>(i))));
   }
 
-  // Collections and thesaurus survived.
-  EXPECT_EQ(restored.collection_members(experiment, true),
-            (std::vector<core::ObjectId>{3, 7}));
+  // The thesaurus survived.
   EXPECT_TRUE(restored.thesaurus().resolve("spacing", "").has_value());
 }
 
@@ -191,9 +187,10 @@ TEST(CatalogPersistence, IngestContinuesAfterRestore) {
   // New objects get fresh ids; late inserts continue the right sequences.
   const auto next = restored.ingest_xml(workload::fig3_document(), "again", "alice");
   EXPECT_EQ(next, id + 1);
-  restored.add_attribute_xml(
+  restored.add_attribute(
       id, "data/idinfo/keywords/theme",
-      "<theme><themekt>CF NetCDF</themekt><themekey>air_temperature</themekey></theme>");
+      *xml::parse_fragment(
+          "<theme><themekt>CF NetCDF</themekt><themekey>air_temperature</themekey></theme>"));
   const xml::Document doc = restored.fetch(id);
   const auto themes = xml::select(*doc.root, "data/idinfo/keywords/theme");
   ASSERT_EQ(themes.size(), 3u);
@@ -216,7 +213,8 @@ TEST(CatalogPersistence, RestoreRequiresFreshCatalogAndMatchingSchema) {
   EXPECT_THROW(dirty.restore(stream), core::ValidationError);
 }
 
-TEST(CatalogPersistence, RestoreRejectsTextFormatHeader) {
+/// A saved one-document catalog stream with its version digit replaced.
+std::string stream_with_version(char version) {
   xml::Schema schema = workload::lead_schema();
   core::MetadataCatalog original(schema, workload::lead_annotations(),
                                  auto_define_config());
@@ -224,16 +222,28 @@ TEST(CatalogPersistence, RestoreRejectsTextFormatHeader) {
   std::stringstream saved;
   original.save(saved);
   std::string bytes = saved.str();
-  ASSERT_EQ(bytes.rfind("HXRCCAT 2\n", 0), 0u);
-  bytes[8] = '1';  // the retired text format's header
+  EXPECT_EQ(bytes.rfind("HXRCCAT 3\n", 0), 0u);
+  bytes[8] = version;
+  return bytes;
+}
 
-  xml::Schema schema2 = workload::lead_schema();
-  core::MetadataCatalog restored(schema2, workload::lead_annotations(),
+/// Restoring `bytes` throws ValidationError and leaves the catalog empty.
+void expect_rejected(const std::string& bytes) {
+  xml::Schema schema = workload::lead_schema();
+  core::MetadataCatalog restored(schema, workload::lead_annotations(),
                                  auto_define_config());
-  std::stringstream version_one(bytes);
-  EXPECT_THROW(restored.restore(version_one), core::ValidationError);
-  // The rejected streams left the catalog untouched.
+  std::stringstream stream(bytes);
+  EXPECT_THROW(restored.restore(stream), core::ValidationError);
   EXPECT_EQ(restored.object_count(), 0u);
+}
+
+TEST(CatalogPersistence, RestoreRejectsTextFormatHeader) {
+  expect_rejected(stream_with_version('1'));  // the retired text format
+}
+
+TEST(CatalogPersistence, RestoreRejectsVersionTwoHeader) {
+  // Version 2 carried the retired collection tables.
+  expect_rejected(stream_with_version('2'));
 }
 
 }  // namespace

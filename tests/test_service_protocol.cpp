@@ -236,17 +236,12 @@ TEST_F(ProtocolTest, MalformedVersionIsValidationNotMismatch) {
 
 TEST(ErrorCodeTable, RoundTripsEveryCode) {
   // The static_assert in service.hpp pins one row per enumerator; here:
-  // rows are in enum order, and name → code inverts exactly.
+  // rows are in enum order and name every code.
   for (std::size_t i = 0; i < std::size(kErrorCodeNames); ++i) {
     const ErrorCodeName& row = kErrorCodeNames[i];
     EXPECT_EQ(static_cast<std::size_t>(row.code), i) << row.name;
     EXPECT_EQ(error_code_name(row.code), row.name);
-    const std::optional<ErrorCode> back = error_code_from_name(row.name);
-    ASSERT_TRUE(back.has_value()) << row.name;
-    EXPECT_EQ(static_cast<int>(*back), static_cast<int>(row.code)) << row.name;
   }
-  EXPECT_FALSE(error_code_from_name("not_a_code").has_value());
-  EXPECT_FALSE(error_code_from_name("").has_value());
 }
 
 TEST(ErrorCodeTable, WireResponsesUseTheTableSpelling) {
@@ -383,12 +378,12 @@ TEST_F(ProtocolTest, QueryPagedMatchesUnpagedUnion) {
   std::vector<ObjectId> collected;
   ObjectQuery paged = base;
   paged.set_limit(4);
-  QueryPage page = catalog_.query_paged(paged);
+  QueryPage page = catalog_.read_guard().query_paged(paged);
   collected.insert(collected.end(), page.ids.begin(), page.ids.end());
   while (!page.next_cursor.empty()) {
     ObjectQuery next = base;
     next.set_limit(4).set_cursor(page.next_cursor);
-    page = catalog_.query_paged(next);
+    page = catalog_.read_guard().query_paged(next);
     collected.insert(collected.end(), page.ids.begin(), page.ids.end());
   }
   EXPECT_EQ(collected, all);

@@ -28,20 +28,8 @@ TEST(Split, SingleField) {
   EXPECT_EQ(parts[0], "abc");
 }
 
-TEST(Join, InsertsSeparators) {
-  EXPECT_EQ(join({"a", "b", "c"}, "/"), "a/b/c");
-  EXPECT_EQ(join({}, "/"), "");
-  EXPECT_EQ(join({"solo"}, ", "), "solo");
-}
-
 TEST(ToLower, AsciiOnly) {
   EXPECT_EQ(to_lower("AbC-123"), "abc-123");
-}
-
-TEST(IEquals, CaseInsensitive) {
-  EXPECT_TRUE(iequals("SELECT", "select"));
-  EXPECT_FALSE(iequals("SELECT", "selec"));
-  EXPECT_TRUE(iequals("", ""));
 }
 
 TEST(StartsWith, Basic) {

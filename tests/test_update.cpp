@@ -7,6 +7,7 @@
 #include "workload/lead_schema.hpp"
 #include "workload/query_gen.hpp"
 #include "xml/matcher.hpp"
+#include "xml/parser.hpp"
 
 namespace hxrc::core {
 namespace {
@@ -25,6 +26,11 @@ class UpdateTest : public ::testing::Test {
     id_ = catalog_.ingest_xml(workload::fig3_document(), "fig3", "alice");
   }
 
+  /// Adds an attribute instance, given as XML text, to the fixture object.
+  void add_xml(std::string_view path, std::string_view content) {
+    catalog_.add_attribute(id_, path, *xml::parse_fragment(content));
+  }
+
   xml::Schema schema_;
   MetadataCatalog catalog_;
   ObjectId id_ = -1;
@@ -32,18 +38,16 @@ class UpdateTest : public ::testing::Test {
 
 TEST_F(UpdateTest, AddedThemeBecomesQueryable) {
   EXPECT_TRUE(catalog_.query(workload::theme_keyword_query("air_temperature")).empty());
-  catalog_.add_attribute_xml(
-      id_, "data/idinfo/keywords/theme",
-      "<theme><themekt>CF NetCDF</themekt><themekey>air_temperature</themekey></theme>");
+  add_xml("data/idinfo/keywords/theme",
+          "<theme><themekt>CF NetCDF</themekt><themekey>air_temperature</themekey></theme>");
   const auto hits = catalog_.query(workload::theme_keyword_query("air_temperature"));
   ASSERT_EQ(hits.size(), 1u);
   EXPECT_EQ(hits[0], id_);
 }
 
 TEST_F(UpdateTest, AddedThemeSequencesAfterExistingSiblings) {
-  catalog_.add_attribute_xml(
-      id_, "data/idinfo/keywords/theme",
-      "<theme><themekt>CF NetCDF</themekt><themekey>air_temperature</themekey></theme>");
+  add_xml("data/idinfo/keywords/theme",
+          "<theme><themekt>CF NetCDF</themekt><themekey>air_temperature</themekey></theme>");
   const xml::Document doc = catalog_.fetch(id_);
   const auto themes = xml::select(*doc.root, "data/idinfo/keywords/theme");
   ASSERT_EQ(themes.size(), 3u);
@@ -55,9 +59,9 @@ TEST_F(UpdateTest, AddedThemeSequencesAfterExistingSiblings) {
 TEST_F(UpdateTest, AddedAttributeInOrderedPosition) {
   // Fig. 3 has no citation; adding one must appear in schema position
   // (inside idinfo, before keywords).
-  catalog_.add_attribute_xml(id_, "data/idinfo/citation",
-                             "<citation><origin>LEAD</origin><pubdate>2006-07-01"
-                             "</pubdate><title>t</title></citation>");
+  add_xml("data/idinfo/citation",
+          "<citation><origin>LEAD</origin><pubdate>2006-07-01"
+          "</pubdate><title>t</title></citation>");
   const xml::Document doc = catalog_.fetch(id_);
   const xml::Node* idinfo = xml::select(*doc.root, "data/idinfo")[0];
   const auto children = idinfo->child_elements();
@@ -67,11 +71,10 @@ TEST_F(UpdateTest, AddedAttributeInOrderedPosition) {
 }
 
 TEST_F(UpdateTest, AddedDynamicAttribute) {
-  catalog_.add_attribute_xml(
-      id_, "data/geospatial/eainfo/detailed",
-      "<detailed><enttyp><enttypl>microphysics</enttypl><enttypds>WRF</enttypds>"
-      "</enttyp><attr><attrlabl>mphyopt</attrlabl><attrdefs>WRF</attrdefs>"
-      "<attrv>2</attrv></attr></detailed>");
+  add_xml("data/geospatial/eainfo/detailed",
+          "<detailed><enttyp><enttypl>microphysics</enttypl><enttypds>WRF</enttypds>"
+          "</enttyp><attr><attrlabl>mphyopt</attrlabl><attrdefs>WRF</attrdefs>"
+          "<attrv>2</attrv></attr></detailed>");
   const auto hits = catalog_.query(
       workload::dynamic_param_query("microphysics", "WRF", "mphyopt", 2.0));
   ASSERT_EQ(hits.size(), 1u);
@@ -81,27 +84,26 @@ TEST_F(UpdateTest, AddedDynamicAttribute) {
 }
 
 TEST_F(UpdateTest, SingleInstanceAttributeCannotBeDuplicated) {
-  catalog_.add_attribute_xml(id_, "data/idinfo/status",
-                             "<status><progress>Complete</progress></status>");
+  add_xml("data/idinfo/status",
+          "<status><progress>Complete</progress></status>");
   EXPECT_THROW(
-      catalog_.add_attribute_xml(id_, "data/idinfo/status",
-                                 "<status><progress>In work</progress></status>"),
+      add_xml("data/idinfo/status",
+              "<status><progress>In work</progress></status>"),
       ValidationError);
 }
 
 TEST_F(UpdateTest, RejectsBadPathsAndMismatchedContent) {
-  EXPECT_THROW(catalog_.add_attribute_xml(id_, "data/nope", "<x/>"), ValidationError);
+  EXPECT_THROW(add_xml("data/nope", "<x/>"), ValidationError);
   EXPECT_THROW(
-      catalog_.add_attribute_xml(id_, "data/idinfo/keywords/theme", "<place/>"),
+      add_xml("data/idinfo/keywords/theme", "<place/>"),
       ValidationError);
 }
 
 TEST_F(UpdateTest, RoundTripAfterManyInserts) {
   for (int i = 0; i < 5; ++i) {
-    catalog_.add_attribute_xml(
-        id_, "data/idinfo/keywords/theme",
-        "<theme><themekt>CF NetCDF</themekt><themekey>key-" + std::to_string(i) +
-            "</themekey></theme>");
+    add_xml("data/idinfo/keywords/theme",
+            "<theme><themekt>CF NetCDF</themekt><themekey>key-" + std::to_string(i) +
+                "</themekey></theme>");
   }
   const xml::Document doc = catalog_.fetch(id_);
   const auto themes = xml::select(*doc.root, "data/idinfo/keywords/theme");
