@@ -151,14 +151,21 @@ class CatalogServer::EventLoop {
           ::epoll_wait(epoll_fd_, events.data(), static_cast<int>(events.size()),
                        timeout_ms);
 
-      drain_inbox();
+      // Reset the eventfd before draining the inbox, not after: a post
+      // that lands in between writes it again and wakes the next wait.
+      // Reset after the drain, that post's op would sit in the inbox until
+      // the epoll timeout.
       for (int i = 0; i < ready; ++i) {
         if (events[static_cast<std::size_t>(i)].data.u64 == kWakeToken) {
           std::uint64_t counter = 0;
           [[maybe_unused]] const ssize_t n =
               ::read(wake_fd_, &counter, sizeof(counter));
-          continue;
+          break;
         }
+      }
+      drain_inbox();
+      for (int i = 0; i < ready; ++i) {
+        if (events[static_cast<std::size_t>(i)].data.u64 == kWakeToken) continue;
         const std::uint64_t id = events[static_cast<std::size_t>(i)].data.u64;
         const std::uint32_t mask = events[static_cast<std::size_t>(i)].events;
         auto it = conns_.find(id);

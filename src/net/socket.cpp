@@ -5,6 +5,7 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -56,7 +57,35 @@ std::uint16_t local_port(int fd) {
   return ntohs(addr.sin_port);
 }
 
-Socket connect_tcp(const std::string& host, std::uint16_t port) {
+namespace {
+
+/// connect() that gives up after `timeout_ms` (0 = the kernel's own SYN
+/// timeout). Returns 0 or -1 with errno set; the socket ends blocking.
+int connect_within(int fd, const sockaddr* addr, socklen_t len, std::uint32_t timeout_ms) {
+  if (timeout_ms == 0) return ::connect(fd, addr, len);
+  set_nonblocking(fd);
+  if (::connect(fd, addr, len) != 0) {
+    if (errno != EINPROGRESS) return -1;
+    pollfd pfd{fd, POLLOUT, 0};
+    const int ready = ::poll(&pfd, 1, static_cast<int>(timeout_ms));
+    if (ready <= 0) {
+      if (ready == 0) errno = ETIMEDOUT;
+      return -1;
+    }
+    int error = 0;
+    socklen_t error_len = sizeof(error);
+    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &error, &error_len) != 0) return -1;
+    if (error != 0) {
+      errno = error;
+      return -1;
+    }
+  }
+  return ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) & ~O_NONBLOCK);
+}
+
+}  // namespace
+
+Socket connect_tcp(const std::string& host, std::uint16_t port, std::uint32_t timeout_ms) {
   addrinfo hints{};
   hints.ai_family = AF_INET;
   hints.ai_socktype = SOCK_STREAM;
@@ -73,7 +102,7 @@ Socket connect_tcp(const std::string& host, std::uint16_t port) {
       last_errno = errno;
       continue;
     }
-    if (::connect(candidate.fd(), ai->ai_addr, ai->ai_addrlen) == 0) {
+    if (connect_within(candidate.fd(), ai->ai_addr, ai->ai_addrlen, timeout_ms) == 0) {
       sock = std::move(candidate);
       break;
     }

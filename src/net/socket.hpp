@@ -58,7 +58,9 @@ Socket listen_tcp(std::uint16_t port, int backlog = 512);
 std::uint16_t local_port(int fd);
 
 /// Blocking connect to host:port (numeric IPv4 or a resolvable name).
-Socket connect_tcp(const std::string& host, std::uint16_t port);
+/// A nonzero `timeout_ms` bounds the handshake, so a host that is down
+/// costs that long rather than the kernel's SYN retry budget.
+Socket connect_tcp(const std::string& host, std::uint16_t port, std::uint32_t timeout_ms = 0);
 
 void set_nonblocking(int fd);
 /// Disables Nagle: the server writes whole frames and the closed-loop

@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "net/socket.hpp"
 
@@ -269,6 +270,33 @@ TEST(NetServer, QueueSaturationPausesReadsInsteadOfOverloadedFlood) {
 
 // ---- graceful drain over real sockets ----
 
+TEST(NetServer, NoResponseWaitsOutTheLoopTimeout) {
+  // Dispatcher workers hand responses to the event loop through its inbox
+  // and an eventfd. A response posted while the loop is between draining
+  // the inbox and resetting the eventfd must still wake the next wait;
+  // stranded, it sits out the 500 ms epoll timeout once the peers go
+  // quiet. Each round sends one request on each of four connections and
+  // then waits for all four answers, so responses land together and
+  // nothing else arrives to wake the loop.
+  ServerConfig net;
+  net.event_threads = 1;
+  TestServer ts({.workers = 4, .max_queue = 64}, net);
+  std::vector<BlockingClient> clients;
+  for (int c = 0; c < 4; ++c) {
+    clients.push_back(ts.connect());
+    clients.back().set_io_timeout(5000);
+  }
+  for (int round = 0; round < 300; ++round) {
+    const auto start = std::chrono::steady_clock::now();
+    for (BlockingClient& client : clients) {
+      client.send_request("<catalogRequest type=\"stats\"/>");
+    }
+    for (BlockingClient& client : clients) client.recv_frame();
+    const auto took = std::chrono::steady_clock::now() - start;
+    ASSERT_LT(took, 400ms) << "round " << round;
+  }
+}
+
 TEST(NetServer, DrainCompletesInFlightAndRejectsNewFrames) {
   std::atomic<bool> release{false};
   std::atomic<int> entered{0};
@@ -478,6 +506,26 @@ TEST(NetClient, SilentServerTimesOutInsteadOfHangingForever) {
   const auto start = std::chrono::steady_clock::now();
   EXPECT_THROW(client.recv_frame(), SocketError);
   EXPECT_LT(std::chrono::steady_clock::now() - start, 1500ms);
+}
+
+TEST(NetClient, ConnectTimeoutBoundsAHandshakeThatNeverCompletes) {
+  // A listener that never accepts: once its backlog is full the kernel
+  // drops further SYNs, so an unbounded connect would wait out the SYN
+  // retries (minutes), while a bounded one gives up after its timeout.
+  const Socket listener = listen_tcp(0, /*backlog=*/0);
+  const std::uint16_t port = local_port(listener.fd());
+  std::vector<BlockingClient> held;
+  for (int i = 0; i < 16; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    try {
+      held.emplace_back("127.0.0.1", port, /*connect_timeout_ms=*/200);
+    } catch (const SocketError& e) {
+      EXPECT_NE(std::string(e.what()).find("timed out"), std::string::npos) << e.what();
+      EXPECT_LT(std::chrono::steady_clock::now() - start, 1500ms);
+      return;
+    }
+  }
+  FAIL() << "every connect completed against a listener that never accepts";
 }
 
 }  // namespace
