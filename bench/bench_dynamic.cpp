@@ -28,7 +28,7 @@ void lookup_bench(benchmark::State& state) {
   for (auto _ : state) {
     for (std::size_t i = 0; i < 64; ++i) {
       const std::string name = "param-" + std::to_string((i * 131) % (defs * 2));
-      if (catalog.registry().find_attribute(name, "ARPS", core::kNoAttr) != nullptr) {
+      if (catalog.registry().find_attribute(name, "ARPS", core::kNoAttr)) {
         ++found;
       }
       ++lookups;

@@ -17,7 +17,7 @@
 //   quit
 //
 // Run:  ./build/examples/catalog_shell
-//       echo -e "gen 50\nfind theme themekey=air_temperature\nquit" | \
+//       printf 'gen 50\nfind theme themekey=air_temperature\nquit\n' |
 //           ./build/examples/catalog_shell
 //
 // With `--data-dir <dir>` the catalog runs on the durability subsystem:
@@ -361,7 +361,10 @@ int main(int argc, char** argv) {
         const rel::ResultSet result = catalog.database().execute(statement);
         std::printf("%s(%zu rows)\n", result.pretty().c_str(), result.size());
       } else if (command == "defs") {
-        for (const core::AttributeDef& def : catalog.registry().attributes()) {
+        const core::DefinitionRegistry& registry = catalog.registry();
+        for (core::AttrDefId id = 0;
+             static_cast<std::size_t>(id) < registry.attribute_count(); ++id) {
+          const core::AttributeDef def = registry.attribute(id);
           std::printf("  [%lld] %s%s%s %s parent=%lld\n",
                       static_cast<long long>(def.id), def.name.c_str(),
                       def.source.empty() ? "" : " @ ",

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# Lists the compiler warnings in a build log that belong to src/, and exits 1
-# if there is any.
+# Lists the compiler warnings in a build log that belong to the project's own
+# code (src/, tests/, examples/, bench/), and exits 1 if there is any.
 #
 # A warning belongs to the file it names, unless GCC reports it inside a
 # chain of inlined calls: then it belongs to the outermost caller in the
 # chain, the user code that pulled a library header's body in (a libstdc++
-# warning "inlined from" src/x.cpp belongs to src/x.cpp).
+# warning "inlined from" tests/x.cpp belongs to tests/x.cpp).
 # Usage: scripts/src_warnings.sh <build-log>
 set -euo pipefail
 log="$1"
@@ -25,7 +25,7 @@ awk -v root="$root/" '
     file = $1
     sub(/:.*$/, "", file)
     path = owner(chain != "" ? chain : file)
-    if (path ~ /^src\//) { print path ": " $0; found = 1 }
+    if (path ~ /^(src|tests|examples|bench)\//) { print path ": " $0; found = 1 }
     chain = ""
   }
   END { exit found }

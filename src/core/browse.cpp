@@ -10,7 +10,6 @@ namespace hxrc::core {
 
 std::vector<AttributeSummary> CatalogBrowser::attributes(const std::string& user) const {
   const MetadataCatalog::ReadGuard guard(catalog_);
-  const DefinitionRegistry& registry = *guard->defs;
   const rel::Table& instances = catalog_.database().require_table(kAttrInstancesTable);
 
   // Instance counts per definition, one scan over the snapshot-visible rows.
@@ -22,7 +21,9 @@ std::vector<AttributeSummary> CatalogBrowser::attributes(const std::string& user
   }
 
   std::vector<AttributeSummary> out;
-  for (const AttributeDef& def : registry.attributes()) {
+  const std::size_t definitions = catalog_.registry().attribute_count(&guard->view);
+  for (AttrDefId id = 0; static_cast<std::size_t>(id) < definitions; ++id) {
+    const AttributeDef def = catalog_.registry().attribute(id);
     if (def.visibility == Visibility::kUser && def.owner != user) continue;
     AttributeSummary summary;
     summary.id = def.id;

@@ -20,14 +20,16 @@ MetadataCatalog::MetadataCatalog(const xml::Schema& schema,
     : schema_(schema),
       config_(config),
       partition_(Partition::build(schema, std::move(annotations))) {
-  registry_.install_structural(partition_);
   install_storage(db_);
   install_ordering(db_, partition_);
+  registry_ = std::make_unique<DefinitionRegistry>(db_, partition_);
+  tombstones_ = &db_.require_table(kDeletedObjectsTable);
+  tombstone_index_ = tombstones_->index("idx_deleted_object");
 
-  shredder_ = std::make_unique<Shredder>(partition_, registry_, db_, config_.shred);
+  shredder_ = std::make_unique<Shredder>(partition_, *registry_, db_, config_.shred);
   EngineOptions engine_options = config_.engine;
   if (engine_options.thesaurus == nullptr) engine_options.thesaurus = &thesaurus_;
-  engine_ = std::make_unique<QueryEngine>(partition_, registry_, db_, engine_options);
+  engine_ = std::make_unique<QueryEngine>(partition_, *registry_, db_, engine_options);
   responder_ = std::make_unique<ResponseBuilder>(partition_, db_);
 
   // Route index-generation retirement through the epoch manager and publish
@@ -47,27 +49,11 @@ void MetadataCatalog::publish_locked() {
   // the generations now cover).
   db_.sync_indexes();
 
-  if (published_defs_ == nullptr ||
-      published_attr_count_ != registry_.attribute_count() ||
-      published_elem_count_ != registry_.element_count()) {
-    published_defs_ = std::make_shared<const DefinitionRegistry>(registry_);
-    published_attr_count_ = registry_.attribute_count();
-    published_elem_count_ = registry_.element_count();
-  }
-  if (published_deleted_ == nullptr ||
-      published_deleted_->size() != deleted_.size()) {
-    published_deleted_ =
-        std::make_shared<const std::unordered_set<ObjectId>>(deleted_);
-  }
-
   auto* snap = new CatalogSnapshot;
   snap->epoch = version();
   snap->view = rel::ReadView(db_.watermarks());
-  snap->defs = published_defs_;
-  snap->deleted = published_deleted_;
   snap->stats = stats_;
   snap->next_object = next_object_.load(std::memory_order_acquire);
-  snap->clob_count = db_.clobs().count();
   if (config_.cache.enabled) {
     // A fresh, empty per-generation cache segment: invalidation of the old
     // generation's entries is the retirement below — nothing is scanned.
@@ -155,11 +141,11 @@ AttrDefId MetadataCatalog::define_dynamic(AttrDefId parent, const std::string& n
       }
     }
   }
-  const AttrDefId id = registry_.define_attribute(name, source, AttrKind::kDynamic,
-                                                  parent, order, visibility, owner);
+  const AttrDefId id = registry_->define_attribute(name, source, AttrKind::kDynamic,
+                                                   parent, order, visibility, owner);
   for (const DynamicElementSpec& elem : elements) {
-    registry_.define_element(elem.name, elem.source.empty() ? source : elem.source, id,
-                             elem.type);
+    registry_->define_element(elem.name, elem.source.empty() ? source : elem.source, id,
+                              elem.type);
   }
   bump_version();
   MutationEvent event{MutationEvent::Kind::kDefine};
@@ -179,7 +165,6 @@ std::vector<ObjectId> MetadataCatalog::query_at(const CatalogSnapshot& snap,
                                                 const ObjectQuery& q,
                                                 QueryPlanInfo* info) const {
   QueryContext ctx;
-  ctx.registry = snap.defs.get();
   ctx.view = &snap.view;
   // L1 memo, for plain runs only: plan-info callers want real pipeline
   // counters, not a memoized set. The cached value is the tombstone-
@@ -190,8 +175,8 @@ std::vector<ObjectId> MetadataCatalog::query_at(const CatalogSnapshot& snap,
     if (const auto cached = snap.cache->find_ids(key)) return cached->ids;
   }
   std::vector<ObjectId> hits = engine_->run(q, info, ctx);
-  if (!snap.deleted->empty()) {
-    std::erase_if(hits, [&snap](ObjectId id) { return snap.deleted->count(id) != 0; });
+  if (snap.view.visible_rows(*tombstones_) != 0) {
+    std::erase_if(hits, [&](ObjectId id) { return tombstoned(snap.view, id); });
   }
   if (!key.empty()) {
     auto memo = std::make_shared<CachedIdSet>();
@@ -278,7 +263,7 @@ std::string MetadataCatalog::build_response_at(const CatalogSnapshot& snap,
                                                const std::vector<OrderId>* orders) const {
   std::string out = "<results>";
   for (const ObjectId id : ids) {
-    if (snap.deleted->count(id) != 0) continue;
+    if (tombstoned(snap.view, id)) continue;
     out += "<result objectID=\"" + std::to_string(id) + "\">";
     out += orders == nullptr ? responder_->build_document(id, &snap.view)
                              : responder_->build_document(id, *orders, &snap.view);
@@ -319,7 +304,11 @@ void MetadataCatalog::delete_object(ObjectId id) {
   if (id < 0 || id >= next_object_.load(std::memory_order_acquire)) {
     throw ValidationError("unknown object " + std::to_string(id));
   }
-  deleted_.insert(id);
+  // One row per deleted object, so the visible row count is the count of
+  // deleted objects; a repeated delete still commits a new version.
+  if (tombstone_index_->bucket_size(rel::Key{{rel::Value(id)}}) == 0) {
+    tombstones_->append(rel::Row{rel::Value(id)});
+  }
   bump_version();
   MutationEvent event{MutationEvent::Kind::kDelete};
   event.epoch = version();
@@ -355,46 +344,14 @@ void MetadataCatalog::save(std::ostream& out) const {
 }
 
 void MetadataCatalog::save_unlocked(std::ostream& out) const {
-  out << "HXRCCAT 3\n";
+  out << "HXRCCAT 4\n";
   out << "epoch " << version_.load(std::memory_order_acquire) << '\n';
   out << "next_object " << next_object_.load(std::memory_order_acquire) << '\n';
+  // Definitions travel as attr_defs/elem_defs rows in the database section;
+  // the structural counts let restore check the schema partition matches.
+  out << "structural " << registry_->structural_attribute_count() << ' '
+      << registry_->structural_element_count() << '\n';
 
-  // Structural definitions are reproduced by the constructor; count them so
-  // restore can verify alignment, then write everything after them.
-  std::size_t structural_attrs = 0;
-  for (const AttributeDef& def : registry_.attributes()) {
-    if (def.kind == AttrKind::kStructural) ++structural_attrs;
-  }
-  // Structural defs form the id prefix (they are all created in the ctor).
-  out << "attrs " << structural_attrs << ' ' << registry_.attribute_count() << '\n';
-  for (std::size_t i = structural_attrs; i < registry_.attribute_count(); ++i) {
-    const AttributeDef& def = registry_.attribute(static_cast<AttrDefId>(i));
-    write_token(out, def.name);
-    write_token(out, def.source);
-    out << static_cast<int>(def.kind) << ' ' << def.parent << ' ' << def.schema_order
-        << ' ' << static_cast<int>(def.visibility) << ' ';
-    write_token(out, def.owner);
-    out << (def.queryable ? 1 : 0) << '\n';
-  }
-
-  // Element defs: the structural prefix is likewise rebuilt by the ctor.
-  std::size_t structural_elem_prefix = 0;
-  for (const ElementDef& def : registry_.elements()) {
-    if (static_cast<std::size_t>(def.attribute) < structural_attrs) {
-      ++structural_elem_prefix;
-    } else {
-      break;
-    }
-  }
-  out << "elems " << structural_elem_prefix << ' ' << registry_.element_count() << '\n';
-  for (std::size_t i = structural_elem_prefix; i < registry_.element_count(); ++i) {
-    const ElementDef& def = registry_.element(static_cast<ElemDefId>(i));
-    write_token(out, def.name);
-    write_token(out, def.source);
-    out << def.attribute << ' ' << static_cast<int>(def.type) << '\n';
-  }
-
-  // Thesaurus.
   const auto synonyms = thesaurus_.items();
   out << "thesaurus " << synonyms.size() << '\n';
   for (const auto& [alias, canonical] : synonyms) {
@@ -404,9 +361,6 @@ void MetadataCatalog::save_unlocked(std::ostream& out) const {
     write_token(out, canonical.source);
   }
 
-  out << "deleted " << deleted_.size() << '\n';
-  for (const ObjectId id : deleted_) out << id << '\n';
-
   shredder_->save_counters(out);
   rel::save_database(db_, out);
 }
@@ -415,8 +369,8 @@ void MetadataCatalog::restore(std::istream& in) {
   std::unique_lock lock(mutex_);
   std::string magic;
   int version = 0;
-  if (!(in >> magic >> version) || magic != "HXRCCAT" || version != 3) {
-    throw ValidationError("not an HXRCCAT version-3 stream");
+  if (!(in >> magic >> version) || magic != "HXRCCAT" || version != 4) {
+    throw ValidationError("not an HXRCCAT version-4 stream");
   }
   std::string tag;
   std::uint64_t restored_epoch = 0;
@@ -427,64 +381,22 @@ void MetadataCatalog::restore(std::istream& in) {
   if (!(in >> tag >> restored_next) || tag != "next_object") {
     throw ValidationError("bad catalog header");
   }
-  next_object_.store(restored_next, std::memory_order_release);
 
-  // Dynamic attribute definitions (the structural prefix must align with
-  // what the constructor rebuilt from the schema).
+  // The constructor rebuilt the structural definitions from the schema; the
+  // stream's must match them, and this catalog may hold nothing else.
   std::size_t structural_attrs = 0;
-  std::size_t total_attrs = 0;
-  if (!(in >> tag >> structural_attrs >> total_attrs) || tag != "attrs") {
-    throw ValidationError("bad attrs section");
+  std::size_t structural_elems = 0;
+  if (!(in >> tag >> structural_attrs >> structural_elems) || tag != "structural") {
+    throw ValidationError("bad structural line in catalog stream");
   }
-  std::size_t current_structural = 0;
-  for (const AttributeDef& def : registry_.attributes()) {
-    if (def.kind == AttrKind::kStructural) ++current_structural;
+  if (structural_attrs != registry_->structural_attribute_count() ||
+      registry_->attribute_count() != structural_attrs) {
+    throw ValidationError("catalog stream was saved against a different schema partition");
   }
-  if (current_structural != structural_attrs ||
-      registry_.attribute_count() != structural_attrs) {
-    throw ValidationError(
-        "catalog stream was saved against a different schema partition");
+  if (registry_->element_count() != structural_elems) {
+    throw ValidationError("catalog stream was saved against a different structural element set");
   }
-  for (std::size_t i = structural_attrs; i < total_attrs; ++i) {
-    const std::string name = read_token(in);
-    const std::string source = read_token(in);
-    int kind = 0;
-    AttrDefId parent = kNoAttr;
-    OrderId order = kNoOrder;
-    int visibility = 0;
-    in >> kind >> parent >> order >> visibility;
-    const std::string owner = read_token(in);
-    int queryable = 1;
-    in >> queryable;
-    const AttrDefId id = registry_.define_attribute(
-        name, source, static_cast<AttrKind>(kind), parent, order,
-        static_cast<Visibility>(visibility), owner, queryable != 0);
-    if (static_cast<std::size_t>(id) != i) {
-      throw ValidationError("definition id drift while restoring attributes");
-    }
-  }
-
-  std::size_t structural_elem_prefix = 0;
-  std::size_t total_elems = 0;
-  if (!(in >> tag >> structural_elem_prefix >> total_elems) || tag != "elems") {
-    throw ValidationError("bad elems section");
-  }
-  if (registry_.element_count() != structural_elem_prefix) {
-    throw ValidationError(
-        "catalog stream was saved against a different structural element set");
-  }
-  for (std::size_t i = structural_elem_prefix; i < total_elems; ++i) {
-    const std::string name = read_token(in);
-    const std::string source = read_token(in);
-    AttrDefId attribute = kNoAttr;
-    int type = 0;
-    in >> attribute >> type;
-    const ElemDefId id =
-        registry_.define_element(name, source, attribute, static_cast<xml::LeafType>(type));
-    if (static_cast<std::size_t>(id) != i) {
-      throw ValidationError("definition id drift while restoring elements");
-    }
-  }
+  next_object_.store(restored_next, std::memory_order_release);
 
   std::size_t synonym_count = 0;
   if (!(in >> tag >> synonym_count) || tag != "thesaurus") {
@@ -498,25 +410,9 @@ void MetadataCatalog::restore(std::istream& in) {
     thesaurus_.add_synonym(alias_name, alias_source, canonical_name, canonical_source);
   }
 
-  std::size_t deleted_count = 0;
-  if (!(in >> tag >> deleted_count) || tag != "deleted") {
-    throw ValidationError("bad deleted section");
-  }
-  deleted_.clear();
-  for (std::size_t i = 0; i < deleted_count; ++i) {
-    ObjectId id = 0;
-    in >> id;
-    deleted_.insert(id);
-  }
-
   shredder_->load_counters(in);
   rel::load_database_into(db_, in);
   version_.store(restored_epoch, std::memory_order_release);
-  // The registry and tombstone set were rebuilt wholesale; drop the COW
-  // caches so the restored snapshot cannot alias pre-restore contents, then
-  // publish the restored state at its epoch.
-  published_defs_.reset();
-  published_deleted_.reset();
   publish_locked();
 }
 
@@ -530,7 +426,7 @@ xml::Document MetadataCatalog::fetch(ObjectId id) const {
   std::string text;
   {
     ReadGuard guard(*this);
-    if (guard->deleted->count(id) != 0) {
+    if (guard.is_deleted(id)) {
       throw ValidationError("object " + std::to_string(id) + " has been deleted");
     }
     text = responder_->build_document(id, &guard->view);

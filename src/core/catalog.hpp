@@ -16,8 +16,9 @@
 // Concurrency: MVCC snapshot reads. Mutations (ingest/add_attribute/define/
 // delete/restore) serialize on an exclusive commit lock, apply their rows to
 // pointer-stable storage, sync the index generations, and publish an
-// immutable CatalogSnapshot (epoch, per-table watermarks, definition
-// registry copy, tombstone set, stats) through one atomic pointer. Reads
+// immutable CatalogSnapshot (epoch, per-table watermarks, stats) through one
+// atomic pointer. Definitions and tombstones are table rows too, so the
+// watermarks freeze them with everything else. Reads
 // (query/query_paged/fetch/build_response/browse/stats) pin an epoch in a
 // reclamation slot, load the snapshot, and run entirely against that frozen
 // state — they NEVER take a lock and never block behind a writer. Superseded snapshots and index generations
@@ -38,7 +39,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_set>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -147,29 +147,21 @@ struct MutationEvent {
 using MutationObserver = std::function<void(const MutationEvent&)>;
 
 /// The immutable state one commit published: everything a reader needs to
-/// answer any read at that epoch. Shared members (registry copy, tombstone
-/// set) are reference-counted and shared across snapshots that did not
-/// change them; the struct itself is freed by epoch reclamation once no
-/// reader pins it.
+/// answer any read at that epoch. Its size does not grow with the catalog;
+/// the struct is freed by epoch reclamation once no reader pins it.
 struct CatalogSnapshot {
   std::uint64_t epoch = 0;
   /// Per-table row-count watermarks: rows at or above them are invisible.
+  /// They cover the definition and tombstone tables too.
   rel::ReadView view;
-  /// Frozen definition registry (re-copied only by commits that define).
-  std::shared_ptr<const DefinitionRegistry> defs;
-  /// Frozen tombstone set (re-copied only by commits that delete).
-  std::shared_ptr<const std::unordered_set<ObjectId>> deleted;
   ShredStats stats;
   ObjectId next_object = 0;
-  std::size_t clob_count = 0;
   /// This generation's query-cache segment (nullptr when caching is off).
   /// Readers reach it only through their pinned snapshot, so an entry can
   /// never be observed by a reader of a different generation; the segment
   /// is reclaimed with the snapshot once no reader pins the epoch.
   std::unique_ptr<QueryCacheSegment> cache;
 };
-
-enum class ObjectState { kUnknown, kLive, kDeleted };
 
 class MetadataCatalog {
  public:
@@ -239,31 +231,17 @@ class MetadataCatalog {
   /// fetched. Storage is reclaimed lazily (the tables are append-only).
   void delete_object(ObjectId id);
 
-  bool is_deleted(ObjectId id) const {
-    ReadGuard guard(*this);
-    return guard->deleted->count(id) != 0;
-  }
-  std::size_t deleted_count() const {
-    ReadGuard guard(*this);
-    return guard->deleted->size();
-  }
-
-  /// Snapshot-consistent liveness: unknown / live / deleted as of one
-  /// published epoch (the service fetch/delete handlers use this so the
-  /// existence check and the tombstone check cannot straddle a commit).
-  ObjectState object_state(ObjectId id) const {
-    ReadGuard guard(*this);
-    if (id < 0 || id >= guard->next_object) return ObjectState::kUnknown;
-    return guard->deleted->count(id) != 0 ? ObjectState::kDeleted : ObjectState::kLive;
-  }
+  bool is_deleted(ObjectId id) const { return ReadGuard(*this).is_deleted(id); }
+  std::size_t deleted_count() const { return ReadGuard(*this).deleted_count(); }
 
   // ---- persistence ----
 
-  /// Serializes the whole catalog state as an `HXRCCAT 3` stream — the
+  /// Serializes the whole catalog state as an `HXRCCAT 4` stream — the
   /// snapshot format of the durability subsystem: version epoch, object
-  /// counter, dynamic definitions, thesaurus, same-sibling counters, and
-  /// the database (shredded tables, ordering tables, CLOBs) in
-  /// the stable binary form of rel::save_database. Interned columns
+  /// counter, structural definition counts, thesaurus, same-sibling
+  /// counters, and the database (shredded tables, definition and tombstone
+  /// tables, ordering tables, CLOBs) in the stable binary form of
+  /// rel::save_database. Interned columns
   /// serialize by content, so a stream is independent of interner pointer
   /// identity.
   void save(std::ostream& out) const;
@@ -274,11 +252,12 @@ class MetadataCatalog {
   void save_unlocked(std::ostream& out) const;
 
   /// Restores state written by save(); any other header throws
-  /// ValidationError, including the retired `HXRCCAT 1` (text) and
-  /// `HXRCCAT 2` (which carried collection tables). The catalog
-  /// must have been constructed with the same schema and annotations (the
-  /// structural definitions and ordering tables are rebuilt by the
-  /// constructor and verified here). Existing ingested data is discarded
+  /// ValidationError, including the retired `HXRCCAT 1` (text),
+  /// `HXRCCAT 2` (which carried collection tables) and `HXRCCAT 3` (which
+  /// carried definitions and tombstones as text sections). The catalog
+  /// must have been constructed with the same schema and annotations and
+  /// hold no dynamic definitions (the structural definition counts are
+  /// verified here). Existing ingested data is discarded
   /// and the recorded version epoch is restored. Requires quiescence (no
   /// concurrent readers): row storage and index generations are freed in
   /// place, and the rebuilt catalog republishes a clean snapshot at the
@@ -383,6 +362,9 @@ class MetadataCatalog {
     std::string build_response(std::span<const ObjectId> ids) const {
       return catalog_->build_response_at(*snap_, ids, nullptr);
     }
+    /// Tombstones as of the pinned snapshot.
+    bool is_deleted(ObjectId id) const { return catalog_->tombstoned(snap_->view, id); }
+    std::size_t deleted_count() const { return snap_->view.visible_rows(*catalog_->tombstones_); }
 
    private:
     const MetadataCatalog* catalog_;
@@ -422,10 +404,10 @@ class MetadataCatalog {
   // ---- introspection ----
 
   const Partition& partition() const noexcept { return partition_; }
-  const DefinitionRegistry& registry() const noexcept { return registry_; }
+  const DefinitionRegistry& registry() const noexcept { return *registry_; }
   /// Mutable registry access for bulk definition import. Single-threaded
   /// setup only; the next commit publishes the imported definitions.
-  DefinitionRegistry& registry() noexcept { return registry_; }
+  DefinitionRegistry& registry() noexcept { return *registry_; }
 
   /// The catalog's ontology (§3): synonyms added here are consulted when a
   /// query criterion does not match a definition directly. Setup-time
@@ -469,6 +451,11 @@ class MetadataCatalog {
                                  QueryPlanInfo* info) const;
   /// ReadGuard::query_paged's body.
   QueryPage query_paged_at(const CatalogSnapshot& snap, const ObjectQuery& q) const;
+  /// True when `view` sees a tombstone row for `id` (no probe if it sees none).
+  bool tombstoned(const rel::ReadView& view, ObjectId id) const {
+    return view.visible_rows(*tombstones_) != 0 &&
+           view.bucket_size(*tombstones_, *tombstone_index_, rel::Key{{rel::Value(id)}}) != 0;
+  }
   /// Shared body of define_dynamic_attribute (parent == kNoAttr: anchored
   /// at the first dynamic root's order) and define_dynamic_sub_attribute.
   AttrDefId define_dynamic(AttrDefId parent, const std::string& name,
@@ -501,7 +488,6 @@ class MetadataCatalog {
   const xml::Schema& schema_;
   CatalogConfig config_;
   Partition partition_;
-  DefinitionRegistry registry_;
   Thesaurus thesaurus_;
   /// Declared before epochs_ so it outlives every retired snapshot: a
   /// reclaimed generation's cache segment drains its resident-byte gauges
@@ -511,27 +497,25 @@ class MetadataCatalog {
   /// generations are freed by ~EpochManager with their deleters intact.
   mutable util::EpochManager epochs_;
   rel::Database db_;
+  /// A facade over db_'s definition tables.
+  std::unique_ptr<DefinitionRegistry> registry_;
+  /// db_'s deleted_objects table and its object_id index.
+  rel::Table* tombstones_ = nullptr;
+  const rel::Index* tombstone_index_ = nullptr;
   std::unique_ptr<Shredder> shredder_;
   std::unique_ptr<QueryEngine> engine_;
   std::unique_ptr<ResponseBuilder> responder_;
   std::atomic<ObjectId> next_object_{0};
   ShredStats stats_;
   util::IngestMetrics ingest_metrics_;
-  std::unordered_set<ObjectId> deleted_;
   /// Exclusive for mutations (the commit lock); shared acquisition is the
-  /// write-pause read_lock(). Guards db_, registry_, thesaurus_, stats_,
-  /// deleted_, the shredder counters, and snapshot publication. MVCC
-  /// readers never touch it.
+  /// write-pause read_lock(). Guards db_ (definitions and tombstones
+  /// included), thesaurus_, stats_, the shredder counters, and snapshot
+  /// publication. MVCC readers never touch it.
   mutable std::shared_mutex mutex_;
   std::atomic<std::uint64_t> version_{0};
   /// The published snapshot; never null after construction.
   std::atomic<const CatalogSnapshot*> snapshot_{nullptr};
-  /// Commit-lock-guarded caches so unchanged registries/tombstone sets are
-  /// shared across snapshots instead of re-copied per commit.
-  std::shared_ptr<const DefinitionRegistry> published_defs_;
-  std::size_t published_attr_count_ = 0;
-  std::size_t published_elem_count_ = 0;
-  std::shared_ptr<const std::unordered_set<ObjectId>> published_deleted_;
   std::atomic<std::uint64_t> snapshots_published_{0};
   MutationObserver observer_;
   const util::DurabilityMetrics* durability_metrics_ = nullptr;

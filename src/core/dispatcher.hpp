@@ -60,7 +60,7 @@ struct DispatcherConfig {
   /// Test seam: runs on the worker thread before each request is handled.
   /// Lets tests hold workers at a barrier to fill the admission queue or
   /// expire deadlines deterministically.
-  std::function<void()> before_execute;
+  std::function<void()> before_execute{};
 };
 
 class ServiceDispatcher : public RequestBroker {

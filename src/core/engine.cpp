@@ -68,7 +68,7 @@ struct CompiledPred {
 /// One resolved element criterion of a query node.
 struct ElementCriterion {
   std::size_t qe_id = 0;
-  const ElementDef* def = nullptr;
+  ElemDefId def = -1;
   CompiledPred pred;
 };
 
@@ -112,54 +112,41 @@ void intersect_into(std::vector<T>& a, const std::vector<T>& b, std::vector<T>& 
   a.swap(scratch);
 }
 
-/// Loose element lookup: exact (name, source) first, then a unique match by
-/// name alone — the paper's MyAttr.addElement("dzmin", 100, EQ) omits the
-/// source when it is unambiguous within the attribute — then the ontology's
-/// synonyms (§3). Both fallbacks are hash probes against the registry's
-/// name-keyed multimaps.
-const ElementDef* find_element_loose(const DefinitionRegistry& registry,
-                                     const std::string& name, const std::string& source,
-                                     AttrDefId attribute, const Thesaurus* thesaurus) {
-  if (const ElementDef* exact = registry.find_element(name, source, attribute)) {
-    return exact;
-  }
-  if (source.empty()) {
-    if (const ElementDef* unique = registry.find_element_any_source(name, attribute)) {
-      return unique;
-    }
-  }
-  if (thesaurus != nullptr) {
-    if (const auto canonical = thesaurus->resolve(name, source)) {
-      return registry.find_element(canonical->name, canonical->source, attribute);
-    }
-  }
-  return nullptr;
-}
+/// Resolves query names against the definitions one snapshot sees: exact
+/// (name, source) first; then, when the query omits the source, the unique
+/// definition of that name — the paper's MyAttr.addElement("dzmin", 100, EQ)
+/// omits the source when it is unambiguous — among those visible to the
+/// user; then the ontology's synonyms (§3).
+struct Resolver {
+  const DefinitionRegistry& registry;
+  const rel::ReadView* view;
+  const Thesaurus* thesaurus;
+  const std::string& user;
 
-/// Attribute lookup: exact (name, source) first; then, when the source is
-/// omitted, a unique match by name among visible definitions with the same
-/// parent; then the ontology's synonyms (§3).
-const AttributeDef* find_attribute_loose(const DefinitionRegistry& registry,
-                                         const std::string& name,
-                                         const std::string& source, AttrDefId parent,
-                                         const std::string& user,
-                                         const Thesaurus* thesaurus) {
-  if (const AttributeDef* exact = registry.find_attribute(name, source, parent, user)) {
-    return exact;
-  }
-  if (source.empty()) {
-    if (const AttributeDef* unique =
-            registry.find_attribute_any_source(name, parent, user)) {
-      return unique;
+  std::optional<AttributeDef> attribute(const std::string& name, const std::string& source,
+                                        AttrDefId parent) const {
+    if (auto exact = registry.find_attribute(name, source, parent, user, view)) return exact;
+    if (source.empty()) {
+      if (auto unique = registry.find_attribute_any_source(name, parent, user, view)) return unique;
     }
-  }
-  if (thesaurus != nullptr) {
-    if (const auto canonical = thesaurus->resolve(name, source)) {
-      return registry.find_attribute(canonical->name, canonical->source, parent, user);
+    if (const auto canonical = thesaurus ? thesaurus->resolve(name, source) : std::nullopt) {
+      return registry.find_attribute(canonical->name, canonical->source, parent, user, view);
     }
+    return std::nullopt;
   }
-  return nullptr;
-}
+
+  std::optional<ElementDef> element(const std::string& name, const std::string& source,
+                                    AttrDefId attribute) const {
+    if (auto exact = registry.find_element(name, source, attribute, view)) return exact;
+    if (source.empty()) {
+      if (auto unique = registry.find_element_any_source(name, attribute, view)) return unique;
+    }
+    if (const auto canonical = thesaurus ? thesaurus->resolve(name, source) : std::nullopt) {
+      return registry.find_element(canonical->name, canonical->source, attribute, view);
+    }
+    return std::nullopt;
+  }
+};
 
 }  // namespace
 
@@ -177,13 +164,11 @@ QueryEngine::QueryEngine(const Partition& partition, const DefinitionRegistry& r
 
 namespace {
 
-void shred_attr(const DefinitionRegistry& registry, const Thesaurus* thesaurus,
-                const std::string& user, const AttrQuery& attr, std::size_t parent,
+void shred_attr(const Resolver& resolve, const AttrQuery& attr, std::size_t parent,
                 std::size_t depth, QueryShredded& out) {
   const AttrDefId parent_def =
       parent == SIZE_MAX ? kNoAttr : out.nodes[parent].def;
-  const AttributeDef* def = find_attribute_loose(registry, attr.name(), attr.source(),
-                                                 parent_def, user, thesaurus);
+  const auto def = resolve.attribute(attr.name(), attr.source(), parent_def);
 
   QueryNode node;
   node.qa_id = out.nodes.size();
@@ -191,7 +176,7 @@ void shred_attr(const DefinitionRegistry& registry, const Thesaurus* thesaurus,
   node.parent = parent;
   node.depth = depth;
   out.max_depth = std::max(out.max_depth, depth);
-  if (def == nullptr || !def->queryable) {
+  if (!def || !def->queryable) {
     out.resolved = false;
     out.nodes.push_back(std::move(node));
     return;
@@ -200,13 +185,12 @@ void shred_attr(const DefinitionRegistry& registry, const Thesaurus* thesaurus,
 
   node.elements.reserve(attr.elements().size());
   for (const ElementPredicate& pred : attr.elements()) {
-    const ElementDef* elem =
-        find_element_loose(registry, pred.name, pred.source, def->id, thesaurus);
-    if (elem == nullptr) {
+    const auto elem = resolve.element(pred.name, pred.source, def->id);
+    if (!elem) {
       out.resolved = false;
     } else {
       node.elements.push_back(
-          ElementCriterion{out.element_count, elem, CompiledPred::compile(pred)});
+          ElementCriterion{out.element_count, elem->id, CompiledPred::compile(pred)});
     }
     ++out.element_count;
   }
@@ -217,7 +201,7 @@ void shred_attr(const DefinitionRegistry& registry, const Thesaurus* thesaurus,
   if (parent == SIZE_MAX) out.tops.push_back(my_index);
 
   for (const AttrQuery& sub : attr.sub_attributes()) {
-    shred_attr(registry, thesaurus, user, sub, my_index, depth + 1, out);
+    shred_attr(resolve, sub, my_index, depth + 1, out);
   }
 }
 
@@ -310,15 +294,15 @@ struct Pipeline {
     if (eq_probe_ready(ec)) {
       // Exact-bucket estimate: the union of the text bucket and (for a
       // numeric rhs) the numeric bucket bounds the criterion's result.
-      std::size_t n = bucket(*elem_val_index, rel::Key{{rel::Value(ec.def->id),
+      std::size_t n = bucket(*elem_val_index, rel::Key{{rel::Value(ec.def),
                                                         rel::Value(ec.pred.rhs_text)}});
       if (ec.pred.numeric_rhs) {
         n += bucket(*elem_num_index,
-                    rel::Key{{rel::Value(ec.def->id), rel::Value(ec.pred.rhs_num)}});
+                    rel::Key{{rel::Value(ec.def), rel::Value(ec.pred.rhs_num)}});
       }
       return n;
     }
-    const rel::Key key{{rel::Value(ec.def->id)}};
+    const rel::Key key{{rel::Value(ec.def)}};
     return view != nullptr ? view->bucket_size(elem_data, elem_index, key)
                            : elem_index.bucket_size(key);
   }
@@ -340,7 +324,7 @@ struct Pipeline {
     count_probe();
     rel::for_each_match(
         elem_data, *elem_val_index,
-        rel::Key{{rel::Value(ec.def->id), rel::Value(ec.pred.rhs_text)}}, view,
+        rel::Key{{rel::Value(ec.def), rel::Value(ec.pred.rhs_text)}}, view,
         probe_scratch, [&](const rel::Row& row, rel::RowId id) {
           count_scanned();
           if (ec.pred.matches(row, str_col, num_col)) fn(row, id);
@@ -348,7 +332,7 @@ struct Pipeline {
     if (!ec.pred.numeric_rhs) return;
     rel::for_each_match(
         elem_data, *elem_num_index,
-        rel::Key{{rel::Value(ec.def->id), rel::Value(ec.pred.rhs_num)}}, view,
+        rel::Key{{rel::Value(ec.def), rel::Value(ec.pred.rhs_num)}}, view,
         probe_scratch, [&](const rel::Row& row, rel::RowId id) {
           count_scanned();
           const rel::Value& str = row[str_col];
@@ -425,7 +409,7 @@ struct Pipeline {
         for_each_eq_match(ec, [&](const rel::Row& row, rel::RowId) { take(row); });
       } else {
         count_probe();
-        rel::for_each_match(elem_data, elem_index, rel::Key{{rel::Value(ec.def->id)}},
+        rel::for_each_match(elem_data, elem_index, rel::Key{{rel::Value(ec.def)}},
                             view, probe_scratch, [&](const rel::Row& row, rel::RowId) {
                               count_scanned();
                               if (ec.pred.matches(row, str_col, num_col)) take(row);
@@ -489,14 +473,13 @@ struct Pipeline {
 
 }  // namespace
 
-bool QueryEngine::can_fast_path(const QueryShredded& shredded,
-                                const DefinitionRegistry& registry) const {
+bool QueryEngine::can_fast_path(const QueryShredded& shredded) const {
   for (const QueryNode& node : shredded.nodes) {
     if (!node.children.empty()) return false;
     // Single-instance check: structural attributes whose schema node is not
     // repeatable have at most one instance per object. Anything else
     // (repeatable or dynamic) may repeat.
-    const AttributeDef& def = registry.attribute(node.def);
+    const AttributeDef def = registry_.attribute(node.def);
     if (def.kind != AttrKind::kStructural) return false;
     if (def.schema_order == kNoOrder) return false;
     const AttributeRootInfo* root = partition_.root_at(def.schema_order);
@@ -536,20 +519,18 @@ void append_value_key(std::string& out, const rel::Value& value) {
 /// One criterion subtree in normal form. Unresolved names key as
 /// "u<len>:<name><len>:<source>" — distinct per spelling, and harmlessly
 /// so: any unresolved node makes the whole query return the empty set.
-std::string attr_canonical_key(const DefinitionRegistry& registry,
-                               const Thesaurus* thesaurus, const std::string& user,
-                               const AttrQuery& attr, AttrDefId parent) {
-  const AttributeDef* def = find_attribute_loose(registry, attr.name(), attr.source(),
-                                                 parent, user, thesaurus);
+std::string attr_canonical_key(const Resolver& resolve, const AttrQuery& attr,
+                               AttrDefId parent) {
+  const auto def = resolve.attribute(attr.name(), attr.source(), parent);
   std::string out = "a";
-  if (def == nullptr || !def->queryable) {
+  if (!def || !def->queryable) {
     out += 'u';
     append_sized(out, attr.name());
     append_sized(out, attr.source());
   } else {
     out += std::to_string(def->id);
   }
-  const AttrDefId my_def = def == nullptr ? kNoAttr : def->id;
+  const AttrDefId my_def = def ? def->id : kNoAttr;
 
   // Sibling criteria sort lexicographically on their serialized form: the
   // query model is an unordered conjunction, so differently-ordered
@@ -557,12 +538,9 @@ std::string attr_canonical_key(const DefinitionRegistry& registry,
   std::vector<std::string> parts;
   parts.reserve(attr.elements().size() + attr.sub_attributes().size());
   for (const ElementPredicate& pred : attr.elements()) {
-    const ElementDef* elem = def == nullptr
-                                 ? nullptr
-                                 : find_element_loose(registry, pred.name, pred.source,
-                                                      my_def, thesaurus);
+    const auto elem = def ? resolve.element(pred.name, pred.source, my_def) : std::nullopt;
     std::string part = "e";
-    if (elem == nullptr) {
+    if (!elem) {
       part += 'u';
       append_sized(part, pred.name);
       append_sized(part, pred.source);
@@ -578,7 +556,7 @@ std::string attr_canonical_key(const DefinitionRegistry& registry,
     parts.push_back(std::move(part));
   }
   for (const AttrQuery& sub : attr.sub_attributes()) {
-    parts.push_back(attr_canonical_key(registry, thesaurus, user, sub, my_def));
+    parts.push_back(attr_canonical_key(resolve, sub, my_def));
   }
   std::sort(parts.begin(), parts.end());
   out += '{';
@@ -594,20 +572,19 @@ std::string attr_canonical_key(const DefinitionRegistry& registry,
 
 std::string QueryEngine::canonical_key(const ObjectQuery& query,
                                        const QueryContext& ctx) const {
-  const DefinitionRegistry& registry =
-      ctx.registry != nullptr ? *ctx.registry : registry_;
-  const Thesaurus* thesaurus =
-      ctx.thesaurus != nullptr ? ctx.thesaurus : options_.thesaurus;
+  const Resolver resolve{registry_, ctx.view,
+                         ctx.thesaurus != nullptr ? ctx.thesaurus : options_.thesaurus,
+                         query.user()};
   // The thesaurus is shared live across snapshots (setup-time mutation
   // only); its mutation counter is the expansion fingerprint so a synonym
   // added — or remapped, which leaves size() unchanged — between publishes
   // cannot revive a key minted under the old map.
   std::string out =
-      "T" + std::to_string(thesaurus == nullptr ? 0 : thesaurus->version()) + "|";
+      "T" + std::to_string(resolve.thesaurus ? resolve.thesaurus->version() : 0) + "|";
   std::vector<std::string> parts;
   parts.reserve(query.attributes().size());
   for (const AttrQuery& attr : query.attributes()) {
-    parts.push_back(attr_canonical_key(registry, thesaurus, query.user(), attr, kNoAttr));
+    parts.push_back(attr_canonical_key(resolve, attr, kNoAttr));
   }
   std::sort(parts.begin(), parts.end());
   for (const std::string& part : parts) {
@@ -619,13 +596,12 @@ std::string QueryEngine::canonical_key(const ObjectQuery& query,
 
 std::vector<ObjectId> QueryEngine::run(const ObjectQuery& query, QueryPlanInfo* info,
                                        const QueryContext& ctx) const {
-  const DefinitionRegistry& registry =
-      ctx.registry != nullptr ? *ctx.registry : registry_;
-  const Thesaurus* thesaurus =
-      ctx.thesaurus != nullptr ? ctx.thesaurus : options_.thesaurus;
+  const Resolver resolve{registry_, ctx.view,
+                         ctx.thesaurus != nullptr ? ctx.thesaurus : options_.thesaurus,
+                         query.user()};
   QueryShredded shredded;
   for (const AttrQuery& attr : query.attributes()) {
-    shred_attr(registry, thesaurus, query.user(), attr, SIZE_MAX, 0, shredded);
+    shred_attr(resolve, attr, SIZE_MAX, 0, shredded);
   }
   if (info != nullptr) {
     info->query_nodes = shredded.nodes.size();
@@ -634,7 +610,7 @@ std::vector<ObjectId> QueryEngine::run(const ObjectQuery& query, QueryPlanInfo* 
   }
   if (shredded.nodes.empty() || !shredded.resolved) return {};
 
-  if (options_.enable_fastpath && can_fast_path(shredded, registry)) {
+  if (options_.enable_fastpath && can_fast_path(shredded)) {
     return run_fast(shredded, info, ctx);
   }
   return run_general(shredded, info, ctx);
@@ -695,7 +671,7 @@ std::vector<ObjectId> QueryEngine::run_fast(const QueryShredded& shredded,
     } else if (c.elem != nullptr) {
       p.count_probe();
       rel::for_each_match(p.elem_data, p.elem_index,
-                          rel::Key{{rel::Value(c.elem->def->id)}}, p.view,
+                          rel::Key{{rel::Value(c.elem->def)}}, p.view,
                           p.probe_scratch, [&](const rel::Row& row, rel::RowId) {
                             p.count_scanned();
                             if (c.elem->pred.matches(row, p.str_col, p.num_col)) {

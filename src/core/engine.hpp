@@ -77,14 +77,12 @@ struct QueryPlanInfo {
 struct QueryShredded;
 
 /// Snapshot context for one engine run. The MVCC read path passes the
-/// pinned snapshot's frozen registry and per-table watermarks so the whole
-/// pipeline — criterion resolution, selectivity estimation, index probes,
-/// row visits — sees exactly one published epoch. Default-constructed, the
-/// engine runs against its bound (live) registry and full tables, which is
-/// the single-writer/setup behaviour.
+/// pinned snapshot's per-table watermarks so the whole pipeline — criterion
+/// resolution against the definition tables, selectivity estimation, index
+/// probes, row visits — sees exactly one published epoch. Default-
+/// constructed, the engine runs against every row, which is the
+/// single-writer/setup behaviour.
 struct QueryContext {
-  /// Registry to resolve criteria against; nullptr = the engine's own.
-  const DefinitionRegistry* registry = nullptr;
   /// Thesaurus override; nullptr = EngineOptions::thesaurus.
   const Thesaurus* thesaurus = nullptr;
   /// Snapshot watermarks; nullptr = probe full tables (syncing probes).
@@ -103,7 +101,7 @@ class QueryEngine {
   std::vector<ObjectId> run(const ObjectQuery& query, QueryPlanInfo* info,
                             const QueryContext& ctx) const;
 
-  /// Canonical cache key for the query against `ctx`'s frozen registry and
+  /// Canonical cache key for the query against `ctx`'s definitions and
   /// thesaurus: criteria resolve to interned definition ids through the
   /// same loose lookup the pipeline uses (so two spellings that resolve to
   /// one definition share a key, and user-private visibility is captured
@@ -114,8 +112,7 @@ class QueryEngine {
   std::string canonical_key(const ObjectQuery& query, const QueryContext& ctx) const;
 
  private:
-  bool can_fast_path(const QueryShredded& shredded,
-                     const DefinitionRegistry& registry) const;
+  bool can_fast_path(const QueryShredded& shredded) const;
   std::vector<ObjectId> run_fast(const QueryShredded& shredded, QueryPlanInfo* info,
                                  const QueryContext& ctx) const;
   std::vector<ObjectId> run_general(const QueryShredded& shredded, QueryPlanInfo* info,

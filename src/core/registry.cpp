@@ -1,8 +1,49 @@
 #include "core/registry.hpp"
 
+#include "core/storage.hpp"
+
 namespace hxrc::core {
 
-void DefinitionRegistry::install_structural(const Partition& partition) {
+namespace {
+
+// Column positions, in the order install_storage declares them.
+enum AttrColumn { kAName, kASource, kAKind, kAParent, kAOrder, kAVisibility, kAOwner, kAQueryable };
+enum ElemColumn { kEName, kESource, kEAttribute, kEType };
+
+/// Row ids under (`name`, [`source`,] `parent`), ascending, that `view` sees
+/// (nullptr: every row). Per-thread buffers, reused by the thread's next
+/// probe, keep the lookups allocation-free.
+const std::vector<rel::RowId>& probe(const rel::Table& table, const rel::Index& index,
+                                     std::string_view name, std::optional<std::string_view> source,
+                                     std::int64_t parent, const rel::ReadView* view) {
+  thread_local rel::Key key;
+  thread_local std::vector<rel::RowId> rows;
+  key.parts.resize(source ? 3 : 2);
+  key.parts[0] = rel::Value(name);
+  if (source) key.parts[1] = rel::Value(*source);
+  key.parts.back() = rel::Value(parent);
+  rows.clear();
+  if (view != nullptr) {
+    view->lookup_into(table, index, key, rows);
+  } else {
+    index.lookup_into(key, rows);
+  }
+  return rows;
+}
+
+Visibility visibility_of(const rel::Row& row) {
+  return static_cast<Visibility>(row[kAVisibility].as_int());
+}
+
+}  // namespace
+
+DefinitionRegistry::DefinitionRegistry(rel::Database& db, const Partition& partition)
+    : attrs_(db.require_table(kAttrDefsTable)),
+      elems_(db.require_table(kElemDefsTable)),
+      attr_by_key_(*attrs_.index("idx_attr_defs_key")),
+      attr_by_name_(*attrs_.index("idx_attr_defs_name")),
+      elem_by_key_(*elems_.index("idx_elem_defs_key")),
+      elem_by_name_(*elems_.index("idx_elem_defs_name")) {
   for (const AttributeRootInfo& root : partition.attribute_roots()) {
     if (root.dynamic) {
       // Dynamic roots get no structural definition at all: their content is
@@ -23,6 +64,8 @@ void DefinitionRegistry::install_structural(const Partition& partition) {
       install_structural_subtree(*child, def);
     }
   }
+  structural_attrs_ = attrs_.row_count();
+  structural_elems_ = elems_.row_count();
 }
 
 void DefinitionRegistry::install_structural_subtree(const xml::SchemaNode& node,
@@ -43,96 +86,84 @@ AttrDefId DefinitionRegistry::define_attribute(const std::string& name,
                                                Visibility visibility,
                                                const std::string& owner, bool queryable) {
   // Idempotent: re-defining an identical visible definition returns it.
-  if (const AttributeDef* existing = find_attribute(name, source, parent, owner)) {
-    if (existing->visibility == visibility && existing->owner == owner) {
-      return existing->id;
-    }
+  const auto existing = find_attribute(name, source, parent, owner);
+  if (existing && existing->visibility == visibility && existing->owner == owner) {
+    return existing->id;
   }
-  AttributeDef def;
-  def.id = static_cast<AttrDefId>(attributes_.size());
-  def.name = name;
-  def.source = source;
-  def.kind = kind;
-  def.parent = parent;
-  def.schema_order = schema_order;
-  def.visibility = visibility;
-  def.owner = owner;
-  def.queryable = queryable;
-  attributes_.push_back(def);
-  attribute_lookup_[DefKey{name, source, parent}].push_back(def.id);
-  attribute_by_name_.emplace(DefKey{name, "", parent}, def.id);
-  return def.id;
+  return static_cast<AttrDefId>(attrs_.append(
+      rel::Row{name, source, static_cast<int>(kind), parent, schema_order,
+               static_cast<int>(visibility), owner, queryable ? 1 : 0}));
 }
 
 ElemDefId DefinitionRegistry::define_element(const std::string& name,
                                              const std::string& source, AttrDefId attribute,
                                              xml::LeafType type) {
-  const DefKey key{name, source, attribute};
-  const auto it = element_lookup_.find(key);
-  if (it != element_lookup_.end()) return it->second;
-  ElementDef def;
-  def.id = static_cast<ElemDefId>(elements_.size());
-  def.name = name;
-  def.source = source;
-  def.attribute = attribute;
-  def.type = type;
-  elements_.push_back(def);
-  element_lookup_.emplace(key, def.id);
-  element_by_name_.emplace(DefKey{name, "", attribute}, def.id);
-  return def.id;
+  if (const auto existing = find_element(name, source, attribute)) return existing->id;
+  return static_cast<ElemDefId>(
+      elems_.append(rel::Row{name, source, attribute, static_cast<int>(type)}));
 }
 
-const AttributeDef* DefinitionRegistry::find_attribute(std::string_view name,
-                                                       std::string_view source,
-                                                       AttrDefId parent,
-                                                       std::string_view user) const noexcept {
-  const auto it = attribute_lookup_.find(DefKeyView{name, source, parent});
-  if (it == attribute_lookup_.end()) return nullptr;
-  const AttributeDef* user_match = nullptr;
-  for (const AttrDefId id : it->second) {
-    const AttributeDef& def = attributes_[static_cast<std::size_t>(id)];
-    if (def.visibility == Visibility::kAdmin) return &def;  // admin wins
-    if (!user.empty() && def.owner == user) user_match = &def;
+AttributeDef DefinitionRegistry::attribute(AttrDefId id) const {
+  const rel::Row& row = attrs_.row(static_cast<rel::RowId>(id));
+  return {id,
+          row[kAName].as_string(),
+          row[kASource].as_string(),
+          static_cast<AttrKind>(row[kAKind].as_int()),
+          row[kAParent].as_int(),
+          row[kAOrder].as_int(),
+          visibility_of(row),
+          row[kAOwner].as_string(),
+          row[kAQueryable].as_int() != 0};
+}
+
+ElementDef DefinitionRegistry::element(ElemDefId id) const {
+  const rel::Row& row = elems_.row(static_cast<rel::RowId>(id));
+  return {id, row[kEName].as_string(), row[kESource].as_string(), row[kEAttribute].as_int(),
+          static_cast<xml::LeafType>(row[kEType].as_int())};
+}
+
+std::optional<AttributeDef> DefinitionRegistry::find_attribute(
+    std::string_view name, std::string_view source, AttrDefId parent, std::string_view user,
+    const rel::ReadView* view) const {
+  // Several rows per key: the same name/source/parent may be defined at
+  // admin level and privately by several users.
+  std::optional<rel::RowId> user_match;
+  for (const rel::RowId r : probe(attrs_, attr_by_key_, name, source, parent, view)) {
+    const rel::Row& row = attrs_.row_unchecked(r);
+    if (visibility_of(row) == Visibility::kAdmin) return attribute(static_cast<AttrDefId>(r));
+    if (!user.empty() && row[kAOwner].as_string_view() == user) user_match = r;
   }
-  return user_match;
+  return user_match ? std::optional(attribute(static_cast<AttrDefId>(*user_match))) : std::nullopt;
 }
 
-const ElementDef* DefinitionRegistry::find_element(std::string_view name,
-                                                   std::string_view source,
-                                                   AttrDefId attribute) const noexcept {
-  const auto it = element_lookup_.find(DefKeyView{name, source, attribute});
-  return it == element_lookup_.end() ? nullptr
-                                     : &elements_[static_cast<std::size_t>(it->second)];
+std::optional<ElementDef> DefinitionRegistry::find_element(std::string_view name,
+                                                           std::string_view source,
+                                                           AttrDefId attribute,
+                                                           const rel::ReadView* view) const {
+  const auto& rows = probe(elems_, elem_by_key_, name, source, attribute, view);
+  return rows.empty() ? std::nullopt : std::optional(element(static_cast<ElemDefId>(rows[0])));
 }
 
-const ElementDef* DefinitionRegistry::find_element_any_source(
-    const std::string& name, AttrDefId attribute) const noexcept {
-  const auto [lo, hi] = element_by_name_.equal_range(DefKey{name, "", attribute});
-  const ElementDef* unique = nullptr;
-  for (auto it = lo; it != hi; ++it) {
-    if (unique != nullptr) return nullptr;  // ambiguous across sources
-    unique = &elements_[static_cast<std::size_t>(it->second)];
+std::optional<ElementDef> DefinitionRegistry::find_element_any_source(
+    std::string_view name, AttrDefId attribute, const rel::ReadView* view) const {
+  const auto& rows = probe(elems_, elem_by_name_, name, std::nullopt, attribute, view);
+  // Absent, or ambiguous across sources.
+  return rows.size() != 1 ? std::nullopt : std::optional(element(static_cast<ElemDefId>(rows[0])));
+}
+
+std::optional<AttributeDef> DefinitionRegistry::find_attribute_any_source(
+    std::string_view name, AttrDefId parent, std::string_view user,
+    const rel::ReadView* view) const {
+  std::optional<rel::RowId> unique;
+  for (const rel::RowId r : probe(attrs_, attr_by_name_, name, std::nullopt, parent, view)) {
+    const rel::Row& row = attrs_.row_unchecked(r);
+    if (visibility_of(row) == Visibility::kUser && row[kAOwner].as_string_view() != user) {
+      continue;
+    }
+    if (unique) return std::nullopt;  // ambiguous across sources
+    unique = r;
   }
-  return unique;
-}
-
-const AttributeDef* DefinitionRegistry::find_attribute_any_source(
-    const std::string& name, AttrDefId parent, const std::string& user) const noexcept {
-  const auto [lo, hi] = attribute_by_name_.equal_range(DefKey{name, "", parent});
-  const AttributeDef* unique = nullptr;
-  for (auto it = lo; it != hi; ++it) {
-    const AttributeDef& def = attributes_[static_cast<std::size_t>(it->second)];
-    if (def.visibility == Visibility::kUser && def.owner != user) continue;
-    if (unique != nullptr) return nullptr;  // ambiguous across sources
-    unique = &def;
-  }
-  return unique;
-}
-
-std::optional<AttrDefId> DefinitionRegistry::structural_for_order(OrderId order) const noexcept {
-  const auto it = structural_by_order_.find(order);
-  if (it == structural_by_order_.end()) return std::nullopt;
-  return it->second;
+  return unique ? std::optional(attribute(static_cast<AttrDefId>(*unique))) : std::nullopt;
 }
 
 }  // namespace hxrc::core

@@ -7,23 +7,33 @@
 // registered at administrator or user level, with user-level definitions
 // private to their owner. Shredding *validates* documents against this
 // registry: elements that do not match a definition stay CLOB-only.
+//
+// Storage: the registry is a facade over two tables of the catalog's
+// rel::Database (attr_defs, elem_defs; see core/storage.hpp). A row id is
+// the definition id, and rows are append-only, so a snapshot sees exactly
+// the definitions below its rel::ReadView watermarks — definitions share
+// the MVCC of every other catalog table. Every lookup takes the view to
+// read at; nullptr reads every row (the writer and single-threaded setup).
 #pragma once
 
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
-#include <vector>
 
 #include "core/model.hpp"
 #include "core/partition.hpp"
+#include "rel/database.hpp"
+#include "rel/read_view.hpp"
 
 namespace hxrc::core {
 
 class DefinitionRegistry {
  public:
-  /// Registers structural attribute/sub-attribute/element definitions for
+  /// Binds to `db`'s definition tables (created by install_storage) and
+  /// registers structural attribute/sub-attribute/element definitions for
   /// every attribute root in the partition.
-  void install_structural(const Partition& partition);
+  DefinitionRegistry(rel::Database& db, const Partition& partition);
 
   /// Registers a dynamic attribute definition (or sub-attribute when
   /// `parent` is given). Returns the existing id when an identical
@@ -34,107 +44,66 @@ class DefinitionRegistry {
                              Visibility visibility = Visibility::kAdmin,
                              const std::string& owner = {}, bool queryable = true);
 
-  /// Registers an element definition under an attribute.
+  /// Registers an element definition under an attribute; idempotent.
   ElemDefId define_element(const std::string& name, const std::string& source,
                            AttrDefId attribute,
                            xml::LeafType type = xml::LeafType::kString);
 
   /// Looks up an attribute definition visible to `user` ("" = admin scope
   /// only). Name+source+parent identify a definition; user-level definitions
-  /// shadow nothing (admin match wins). Takes views so the shredder's
-  /// per-node probes (names are string_views into the parse arena) cost no
-  /// string construction — the maps do heterogeneous lookup.
-  const AttributeDef* find_attribute(std::string_view name, std::string_view source,
-                                     AttrDefId parent,
-                                     std::string_view user = {}) const noexcept;
+  /// shadow nothing (admin match wins).
+  std::optional<AttributeDef> find_attribute(std::string_view name, std::string_view source,
+                                             AttrDefId parent, std::string_view user = {},
+                                             const rel::ReadView* view = nullptr) const;
 
-  const ElementDef* find_element(std::string_view name, std::string_view source,
-                                 AttrDefId attribute) const noexcept;
+  std::optional<ElementDef> find_element(std::string_view name, std::string_view source,
+                                         AttrDefId attribute,
+                                         const rel::ReadView* view = nullptr) const;
 
   /// The unique element named `name` under `attribute` regardless of
-  /// source; nullptr when absent or ambiguous across sources. Backed by a
-  /// name-keyed multimap so the engine's loose lookups (queries omitting
-  /// the source, §4) cost one hash probe instead of an O(registry) scan.
-  const ElementDef* find_element_any_source(const std::string& name,
-                                            AttrDefId attribute) const noexcept;
+  /// source; nullopt when absent or ambiguous across sources (the engine's
+  /// loose lookups for queries omitting the source, §4).
+  std::optional<ElementDef> find_element_any_source(std::string_view name, AttrDefId attribute,
+                                                    const rel::ReadView* view = nullptr) const;
 
   /// The unique attribute named `name` under `parent` among definitions
-  /// visible to `user`; nullptr when absent or ambiguous across sources.
-  const AttributeDef* find_attribute_any_source(const std::string& name, AttrDefId parent,
-                                                const std::string& user) const noexcept;
+  /// visible to `user`; nullopt when absent or ambiguous across sources.
+  std::optional<AttributeDef> find_attribute_any_source(
+      std::string_view name, AttrDefId parent, std::string_view user,
+      const rel::ReadView* view = nullptr) const;
 
-  const AttributeDef& attribute(AttrDefId id) const { return attributes_.at(static_cast<std::size_t>(id)); }
-  const ElementDef& element(ElemDefId id) const { return elements_.at(static_cast<std::size_t>(id)); }
+  /// The definition with this id; throws rel::TypeError when out of range.
+  AttributeDef attribute(AttrDefId id) const;
+  ElementDef element(ElemDefId id) const;
 
-  std::size_t attribute_count() const noexcept { return attributes_.size(); }
-  std::size_t element_count() const noexcept { return elements_.size(); }
+  std::size_t attribute_count(const rel::ReadView* view = nullptr) const noexcept {
+    return view == nullptr ? attrs_.row_count() : view->visible_rows(attrs_);
+  }
+  std::size_t element_count(const rel::ReadView* view = nullptr) const noexcept {
+    return view == nullptr ? elems_.row_count() : view->visible_rows(elems_);
+  }
 
-  const std::vector<AttributeDef>& attributes() const noexcept { return attributes_; }
-  const std::vector<ElementDef>& elements() const noexcept { return elements_; }
+  /// Definitions the constructor installed: the structural id prefix.
+  std::size_t structural_attribute_count() const noexcept { return structural_attrs_; }
+  std::size_t structural_element_count() const noexcept { return structural_elems_; }
 
   /// Top-level structural definition for an attribute root order.
-  std::optional<AttrDefId> structural_for_order(OrderId order) const noexcept;
+  std::optional<AttrDefId> structural_for_order(OrderId order) const noexcept {
+    const auto it = structural_by_order_.find(order);
+    return it == structural_by_order_.end() ? std::nullopt : std::optional(it->second);
+  }
 
  private:
-  struct DefKey {
-    std::string name;
-    std::string source;
-    AttrDefId parent;
-    bool operator==(const DefKey&) const = default;
-  };
-  /// Borrowed-key twin of DefKey for heterogeneous lookup: probing with
-  /// names that are views into a parse arena allocates nothing.
-  struct DefKeyView {
-    std::string_view name;
-    std::string_view source;
-    AttrDefId parent;
-  };
-  struct DefKeyHash {
-    using is_transparent = void;
-    static std::size_t mix(std::string_view name, std::string_view source,
-                           AttrDefId parent) noexcept {
-      std::size_t h = std::hash<std::string_view>{}(name);
-      h ^= std::hash<std::string_view>{}(source) + 0x9e3779b9 + (h << 6) + (h >> 2);
-      h ^= std::hash<std::int64_t>{}(parent) + 0x9e3779b9 + (h << 6) + (h >> 2);
-      return h;
-    }
-    std::size_t operator()(const DefKey& k) const noexcept {
-      return mix(k.name, k.source, k.parent);
-    }
-    std::size_t operator()(const DefKeyView& k) const noexcept {
-      return mix(k.name, k.source, k.parent);
-    }
-  };
-  struct DefKeyEqual {
-    using is_transparent = void;
-    static bool eq(std::string_view an, std::string_view as, AttrDefId ap,
-                   std::string_view bn, std::string_view bs, AttrDefId bp) noexcept {
-      return ap == bp && an == bn && as == bs;
-    }
-    bool operator()(const DefKey& a, const DefKey& b) const noexcept {
-      return eq(a.name, a.source, a.parent, b.name, b.source, b.parent);
-    }
-    bool operator()(const DefKey& a, const DefKeyView& b) const noexcept {
-      return eq(a.name, a.source, a.parent, b.name, b.source, b.parent);
-    }
-    bool operator()(const DefKeyView& a, const DefKey& b) const noexcept {
-      return eq(a.name, a.source, a.parent, b.name, b.source, b.parent);
-    }
-  };
-
   void install_structural_subtree(const xml::SchemaNode& node, AttrDefId parent_def);
 
-  std::vector<AttributeDef> attributes_;
-  std::vector<ElementDef> elements_;
-  /// Multiple ids per key: the same name/source/parent may be defined at
-  /// admin level and privately by several users.
-  std::unordered_map<DefKey, std::vector<AttrDefId>, DefKeyHash, DefKeyEqual>
-      attribute_lookup_;
-  std::unordered_map<DefKey, ElemDefId, DefKeyHash, DefKeyEqual> element_lookup_;
-  /// Name-only secondary lookups (keyed with source = "", all sources
-  /// bucketed together) backing the *_any_source loose lookups.
-  std::unordered_multimap<DefKey, AttrDefId, DefKeyHash, DefKeyEqual> attribute_by_name_;
-  std::unordered_multimap<DefKey, ElemDefId, DefKeyHash, DefKeyEqual> element_by_name_;
+  rel::Table& attrs_;
+  rel::Table& elems_;
+  const rel::Index& attr_by_key_;   // (name, source, parent)
+  const rel::Index& attr_by_name_;  // (name, parent)
+  const rel::Index& elem_by_key_;   // (name, source, attribute)
+  const rel::Index& elem_by_name_;  // (name, attribute)
+  std::size_t structural_attrs_ = 0;
+  std::size_t structural_elems_ = 0;
   std::unordered_map<OrderId, AttrDefId> structural_by_order_;
 };
 

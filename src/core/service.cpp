@@ -402,7 +402,7 @@ std::string CatalogService::handle_parsed(const xml::Node& request,
     // One pinned snapshot for the existence check AND the response: the
     // two cannot straddle a concurrent delete or ingest.
     const MetadataCatalog::ReadGuard guard(catalog_);
-    if (*id < 0 || *id >= guard->next_object || guard->deleted->count(*id) != 0) {
+    if (*id < 0 || *id >= guard->next_object || guard.is_deleted(*id)) {
       const std::string message = "object " + std::string(*id_text) + " does not exist";
       // Negative caching: the not_found response is a fact about this
       // snapshot too — repeated probes for a missing id short-circuit.
@@ -470,7 +470,7 @@ std::string CatalogService::handle_parsed(const xml::Node& request,
     }
     const auto id = util::parse_int(*id_text);
     if (!id) throw ServiceError(ErrorCode::kValidation, "bad objectID");
-    if (catalog_.object_state(*id) == ObjectState::kUnknown) {
+    if (*id < 0 || *id >= MetadataCatalog::ReadGuard(catalog_)->next_object) {
       throw ServiceError(ErrorCode::kNotFound,
                          "object " + std::string(*id_text) + " does not exist");
     }
@@ -489,8 +489,9 @@ std::string CatalogService::handle_parsed(const xml::Node& request,
     payload += " attributes=\"" + std::to_string(stats.attribute_instances) + "\"";
     payload += " elements=\"" + std::to_string(stats.element_rows) + "\"";
     payload += " clobs=\"" + std::to_string(stats.clobs) + "\"";
-    payload += " definitions=\"" + std::to_string(guard->defs->attribute_count()) + "\"";
-    payload += " deleted=\"" + std::to_string(guard->deleted->size()) + "\"";
+    payload += " definitions=\"" +
+               std::to_string(catalog_.registry().attribute_count(&guard->view)) + "\"";
+    payload += " deleted=\"" + std::to_string(guard.deleted_count()) + "\"";
     payload += " version=\"" + std::to_string(guard.epoch()) + "\"";
     payload += ">";
     {

@@ -57,6 +57,22 @@ void install_storage(rel::Database& db) {
   elements.create_hash_index("idx_elem_val", {"elem_id", "value_str"});
   elements.create_hash_index("idx_elem_num", {"elem_id", "value_num"});
   clobs.create_hash_index("idx_clob_object", {"object_id"});
+
+  rel::Table& attr_defs = db.create_table(
+      kAttrDefsTable,
+      rel::TableSchema{{"name", Type::kString}, {"source", Type::kString}, {"kind", Type::kInt},
+                       {"parent", Type::kInt}, {"schema_order", Type::kInt},
+                       {"visibility", Type::kInt}, {"owner", Type::kString},
+                       {"queryable", Type::kInt}});
+  attr_defs.create_hash_index("idx_attr_defs_key", {"name", "source", "parent"});
+  attr_defs.create_hash_index("idx_attr_defs_name", {"name", "parent"});
+  rel::Table& elem_defs = db.create_table(
+      kElemDefsTable, rel::TableSchema{{"name", Type::kString}, {"source", Type::kString},
+                                       {"attribute", Type::kInt}, {"type", Type::kInt}});
+  elem_defs.create_hash_index("idx_elem_defs_key", {"name", "source", "attribute"});
+  elem_defs.create_hash_index("idx_elem_defs_name", {"name", "attribute"});
+  db.create_table(kDeletedObjectsTable, rel::TableSchema{{"object_id", Type::kInt}})
+      .create_hash_index("idx_deleted_object", {"object_id"});
 }
 
 ShredStats& ShredStats::operator+=(const ShredStats& other) noexcept {
@@ -413,7 +429,7 @@ void Shredder::shred_structural_children(DocState& state, const xml::Node& node,
 
   // Attribute-element: the node itself carries the value.
   if (schema_node.is_leaf()) {
-    if (const ElementDef* elem = registry_.find_element(schema_node.name(), "", def)) {
+    if (const auto elem = registry_.find_element(schema_node.name(), "", def)) {
       append_element_row(state, def, seq, *elem, ++elem_seq, node.text_view(scratch));
     }
     return;
@@ -427,8 +443,8 @@ void Shredder::shred_structural_children(DocState& state, const xml::Node& node,
                             "> inside attribute <" + schema_node.name() + ">");
     }
     if (child_schema->is_leaf()) {
-      const ElementDef* elem = registry_.find_element(child->name(), "", def);
-      if (elem == nullptr) {
+      const auto elem = registry_.find_element(child->name(), "", def);
+      if (!elem) {
         throw ValidationError("no element definition for <" + std::string(child->name()) +
                               "> in <" + schema_node.name() + ">");
       }
@@ -436,8 +452,8 @@ void Shredder::shred_structural_children(DocState& state, const xml::Node& node,
       continue;
     }
     // Structural sub-attribute.
-    const AttributeDef* sub = registry_.find_attribute(child->name(), "", def);
-    if (sub == nullptr) {
+    const auto sub = registry_.find_attribute(child->name(), "", def);
+    if (!sub) {
       throw ValidationError("no sub-attribute definition for <" +
                             std::string(child->name()) + ">");
     }
@@ -473,23 +489,13 @@ void Shredder::shred_dynamic(DocState& state, const xml::Node& node,
     return;
   }
 
-  // Hold the id, not the pointer: auto-definition below may grow the
-  // registry's definition vector and invalidate definition references.
-  AttrDefId def_id = kNoAttr;
-  if (const AttributeDef* def = registry_.find_attribute(name, source, kNoAttr, state.owner)) {
-    def_id = def->id;
-  } else {
-    if (!options_.auto_define_dynamic) {
-      // Validation failed: keep the CLOB, skip the query tables (§3).
-      ++state.stats.unshredded_dynamic;
-      return;
-    }
-    def_id = registry_.define_attribute(
-        std::string(name), std::string(source), AttrKind::kDynamic, kNoAttr, root.order,
-        options_.auto_define_visibility,
-        options_.auto_define_visibility == Visibility::kUser ? state.owner : std::string{});
+  const auto def = dynamic_attribute(name, source, kNoAttr, root.order, state.owner);
+  if (!def) {
+    // Validation failed: keep the CLOB, skip the query tables (§3).
+    ++state.stats.unshredded_dynamic;
+    return;
   }
-
+  const AttrDefId def_id = *def;
   const std::int64_t seq = next_seq(state, def_id);
   state.instance_rows.push_back(make_row(rel::Value(state.object_id), rel::Value(def_id),
                                          rel::Value(seq), rel::Value(std::int64_t{1}),
@@ -503,6 +509,17 @@ void Shredder::shred_dynamic(DocState& state, const xml::Node& node,
       shred_dynamic_item(state, *item, def_id, state.owner);
     }
   }
+}
+
+std::optional<AttrDefId> Shredder::dynamic_attribute(std::string_view name,
+                                                     std::string_view source, AttrDefId parent,
+                                                     OrderId order, const std::string& owner) {
+  if (const auto def = registry_.find_attribute(name, source, parent, owner)) return def->id;
+  if (!options_.auto_define_dynamic) return std::nullopt;
+  const Visibility visibility = options_.auto_define_visibility;
+  return registry_.define_attribute(std::string(name), std::string(source),
+                                    AttrKind::kDynamic, parent, order, visibility,
+                                    visibility == Visibility::kUser ? owner : std::string{});
 }
 
 void Shredder::shred_dynamic_item(DocState& state, const xml::Node& item,
@@ -535,21 +552,12 @@ void Shredder::shred_dynamic_item(DocState& state, const xml::Node& item,
   }
 
   if (has_sub_items) {
-    // Hold the id, not a pointer — recursive auto-definition may reallocate
-    // the registry's definition vector.
-    AttrDefId sub_id = kNoAttr;
-    if (const AttributeDef* sub = registry_.find_attribute(name, source, parent_def, owner)) {
-      sub_id = sub->id;
-    } else {
-      if (!options_.auto_define_dynamic) {
-        ++state.stats.unshredded_dynamic;
-        return;
-      }
-      sub_id = registry_.define_attribute(
-          std::string(name), std::string(source), AttrKind::kDynamic, parent_def, kNoOrder,
-          options_.auto_define_visibility,
-          options_.auto_define_visibility == Visibility::kUser ? owner : std::string{});
+    const auto sub = dynamic_attribute(name, source, parent_def, kNoOrder, owner);
+    if (!sub) {
+      ++state.stats.unshredded_dynamic;
+      return;
     }
+    const AttrDefId sub_id = *sub;
     const std::int64_t sub_seq = next_seq(state, sub_id);
     state.instance_rows.push_back(make_row(rel::Value(state.object_id),
                                            rel::Value(sub_id), rel::Value(sub_seq),
@@ -571,8 +579,8 @@ void Shredder::shred_dynamic_item(DocState& state, const xml::Node& item,
   std::string value_scratch;
   const std::string_view raw_value =
       value_node ? value_node->text_view(value_scratch) : std::string_view{};
-  const ElementDef* elem = registry_.find_element(name, source, parent_def);
-  if (elem == nullptr) {
+  std::optional<ElementDef> elem = registry_.find_element(name, source, parent_def);
+  if (!elem) {
     if (!options_.auto_define_dynamic) {
       ++state.stats.unshredded_dynamic;
       return;
@@ -584,9 +592,8 @@ void Shredder::shred_dynamic_item(DocState& state, const xml::Node& item,
     } else if (util::parse_double(raw_value)) {
       type = xml::LeafType::kDouble;
     }
-    const ElemDefId id = registry_.define_element(std::string(name), std::string(source),
-                                                  parent_def, type);
-    elem = &registry_.element(id);
+    elem = registry_.element(registry_.define_element(std::string(name),
+                                                      std::string(source), parent_def, type));
   }
   // Element sequence: local order within the innermost enclosing instance,
   // counted directly in its path frame.

@@ -137,6 +137,11 @@ class Shredder {
                      std::int64_t clob_seq);
   void shred_dynamic_item(DocState& state, const xml::Node& item, AttrDefId parent_def,
                           const std::string& owner);
+  /// The dynamic attribute (name, source) under `parent` that `owner` sees,
+  /// auto-defined when the options allow it; nullopt otherwise.
+  std::optional<AttrDefId> dynamic_attribute(std::string_view name, std::string_view source,
+                                             AttrDefId parent, OrderId order,
+                                             const std::string& owner);
 
   void append_element_row(DocState& state, AttrDefId attr, std::int64_t seq,
                           const ElementDef& elem, std::int64_t elem_seq,

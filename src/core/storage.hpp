@@ -15,7 +15,15 @@
 //       value_num so range predicates compare numerically.
 //   attr_clobs(object_id, order_id, clob_seq, clob_id)
 //       per-attribute CLOBs keyed by the schema global order (§2, §5).
-// plus the ordering tables created by install_ordering (ordering.hpp).
+//   attr_defs(name, source, kind, parent, schema_order, visibility, owner,
+//             queryable)
+//       metadata attribute definitions; the row id is the AttrDefId.
+//   elem_defs(name, source, attribute, type)
+//       metadata element definitions; the row id is the ElemDefId.
+//   deleted_objects(object_id)
+//       one tombstone row per deleted object.
+// Every table is append-only, so a snapshot's rel::ReadView freezes them all.
+// Plus the ordering tables created by install_ordering (ordering.hpp).
 #pragma once
 
 #include "rel/database.hpp"
@@ -27,9 +35,12 @@ inline constexpr const char* kAttrInstancesTable = "attr_instances";
 inline constexpr const char* kAttrInvertedTable = "attr_inverted";
 inline constexpr const char* kElemDataTable = "elem_data";
 inline constexpr const char* kAttrClobsTable = "attr_clobs";
+inline constexpr const char* kAttrDefsTable = "attr_defs";
+inline constexpr const char* kElemDefsTable = "elem_defs";
+inline constexpr const char* kDeletedObjectsTable = "deleted_objects";
 
-/// Creates the five storage tables and the secondary indexes the
-/// query/response pipelines probe.
+/// Creates the eight storage tables and the secondary indexes the
+/// registry, the tombstone check and the query/response pipelines probe.
 void install_storage(rel::Database& db);
 
 }  // namespace hxrc::core

@@ -85,8 +85,12 @@ class Index {
   /// index's whole lifetime. Existing rows are picked up by the first sync.
   Index(std::string name, std::vector<std::size_t> key_columns, const StableVector<Row>& rows)
       : name_(std::move(name)), key_columns_(std::move(key_columns)), rows_(rows) {}
-  ~Index() {
-    const GenList* list = published_.load(std::memory_order_relaxed);
+  ~Index() { clear(); }
+
+  /// Drops every generation; the next sync re-indexes the attached rows.
+  /// Requires quiescence (Table::truncate): generations are freed in place.
+  void clear() noexcept {
+    const GenList* list = published_.exchange(nullptr, std::memory_order_relaxed);
     if (list != nullptr) {
       for (const Gen* gen : list->gens) delete gen;
       delete list;
@@ -119,38 +123,18 @@ class Index {
   /// MVCC probe: row ids under `key` that are < `limit`, appended to `out`
   /// in ascending order. Never mutates the index, never blocks.
   void lookup_into_at(const Key& key, std::size_t limit, std::vector<RowId>& out) const {
-    const GenList* list = published_.load(std::memory_order_acquire);
-    std::size_t covered = 0;
-    if (list != nullptr) {
-      covered = list->end;
-      for (const Gen* gen : list->gens) {
-        if (gen->begin >= limit) break;
-        const auto it = gen->map.find(key);
-        if (it == gen->map.end()) continue;
-        if (gen->end <= limit) {
-          it->second.append_to(out);
-        } else {
-          it->second.append_below(limit, out);
-        }
-      }
-    }
-    if (covered < limit) scan_tail(key, covered, limit, out);
+    const std::size_t covered = probe_gens(key, limit, [&](const PostingList& ids, bool whole) {
+      whole ? ids.append_to(out) : ids.append_below(limit, out);
+    });
+    for_each_tail(key, covered, limit, [&](RowId r) { out.push_back(r); });
   }
 
   std::size_t bucket_size_at(const Key& key, std::size_t limit) const {
-    const GenList* list = published_.load(std::memory_order_acquire);
-    std::size_t covered = 0;
     std::size_t n = 0;
-    if (list != nullptr) {
-      covered = list->end;
-      for (const Gen* gen : list->gens) {
-        if (gen->begin >= limit) break;
-        const auto it = gen->map.find(key);
-        if (it == gen->map.end()) continue;
-        n += gen->end <= limit ? it->second.size() : it->second.count_below(limit);
-      }
-    }
-    if (covered < limit) n += count_tail(key, covered, limit);
+    const std::size_t covered = probe_gens(key, limit, [&](const PostingList& ids, bool whole) {
+      n += whole ? ids.size() : ids.count_below(limit);
+    });
+    for_each_tail(key, covered, limit, [&](RowId) { ++n; });
     return n;
   }
 
@@ -193,7 +177,21 @@ class Index {
   }
 
  private:
-  using KeyMap = std::unordered_map<Key, PostingList, KeyHash>;
+  /// A probe key hashed once for every generation it visits.
+  struct Probe { const Key& key; std::size_t hash; };
+  struct ProbeHash {
+    using is_transparent = void;
+    // Not noexcept on purpose: libstdc++ then caches each node's hash, so a
+    // probe walking a bucket never re-hashes the stored keys.
+    std::size_t operator()(const Key& key) const { return KeyHash{}(key); }
+    std::size_t operator()(const Probe& probe) const noexcept { return probe.hash; }
+  };
+  struct ProbeEqual {
+    using is_transparent = void;
+    bool operator()(const Key& a, const Key& b) const noexcept { return a == b; }
+    bool operator()(const Probe& a, const Key& b) const noexcept { return a.key == b; }
+  };
+  using KeyMap = std::unordered_map<Key, PostingList, ProbeHash, ProbeEqual>;
   struct Gen {
     std::size_t begin = 0;
     std::size_t end = 0;
@@ -287,24 +285,31 @@ class Index {
     return true;
   }
 
-  /// Defensive fallback for MVCC probes: linear scan of rows the published
-  /// generations do not cover (normally an empty range — the commit
-  /// protocol syncs before publishing).
-  void scan_tail(const Key& key, std::size_t from, std::size_t limit,
-                 std::vector<RowId>& out) const {
-    const std::size_t to = std::min(limit, rows_.size());
-    for (std::size_t r = from; r < to; ++r) {
-      if (row_matches(rows_[r], key)) out.push_back(r);
+  /// Calls `hit(postings, whole)` for every published generation below
+  /// `limit` that holds `key` (`whole`: all its rows are below `limit`);
+  /// returns the row count the generations cover.
+  template <typename Hit>
+  std::size_t probe_gens(const Key& key, std::size_t limit, Hit hit) const {
+    const GenList* list = published_.load(std::memory_order_acquire);
+    if (list == nullptr) return 0;
+    const Probe probe{key, KeyHash{}(key)};
+    for (const Gen* gen : list->gens) {
+      if (gen->begin >= limit) break;
+      const auto it = gen->map.find(probe);
+      if (it != gen->map.end()) hit(it->second, gen->end <= limit);
     }
+    return list->end;
   }
 
-  std::size_t count_tail(const Key& key, std::size_t from, std::size_t limit) const {
+  /// Defensive fallback for MVCC probes: calls `fn` on each row in [from,
+  /// limit) the generations do not cover that matches `key` (normally an
+  /// empty range — the commit protocol syncs before publishing).
+  template <typename Fn>
+  void for_each_tail(const Key& key, std::size_t from, std::size_t limit, Fn fn) const {
     const std::size_t to = std::min(limit, rows_.size());
-    std::size_t n = 0;
     for (std::size_t r = from; r < to; ++r) {
-      if (row_matches(rows_[r], key)) ++n;
+      if (row_matches(rows_[r], key)) fn(r);
     }
-    return n;
   }
 
   std::string name_;

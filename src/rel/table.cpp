@@ -43,16 +43,8 @@ RowId Table::append_batch_unchecked(std::vector<Row>&& rows) {
 void Table::truncate() {
   // Requires quiescence: rows and index generations are freed in place.
   rows_.clear();
-  // Rebuild empty indexes with the same definitions.
-  const std::vector<std::unique_ptr<Index>> old = std::move(indexes_);
-  indexes_.clear();
-  for (const auto& index : old) add_index(index->name(), index->key_columns());
-}
-
-const Index* Table::add_index(std::string index_name, std::vector<std::size_t> key_columns) {
-  auto index = std::make_unique<Index>(std::move(index_name), std::move(key_columns), rows_);
-  index->set_reclaimer(reclaimer_);
-  return indexes_.emplace_back(std::move(index)).get();
+  // In place, so index pointers held by callers stay valid.
+  for (const auto& index : indexes_) index->clear();
 }
 
 const Index* Table::create_hash_index(const std::string& index_name,
@@ -62,7 +54,9 @@ const Index* Table::create_hash_index(const std::string& index_name,
   for (const auto& column : column_names) {
     key_columns.push_back(schema_.require(column));
   }
-  return add_index(index_name, std::move(key_columns));
+  auto index = std::make_unique<Index>(index_name, std::move(key_columns), rows_);
+  index->set_reclaimer(reclaimer_);
+  return indexes_.emplace_back(std::move(index)).get();
 }
 
 const Index* Table::index(std::string_view index_name) const noexcept {

@@ -95,8 +95,6 @@ class Table {
 
  private:
   void validate(const Row& row) const;
-  /// Installs an empty index over this table's rows.
-  const Index* add_index(std::string index_name, std::vector<std::size_t> key_columns);
 
   std::string name_;
   TableSchema schema_;

@@ -46,7 +46,7 @@ TEST(Catalog, DefineDynamicAttributeWithElements) {
   EXPECT_EQ(def.kind, AttrKind::kDynamic);
   // Anchored at the dynamic root's order for response building.
   EXPECT_NE(def.schema_order, kNoOrder);
-  EXPECT_NE(catalog.registry().find_element("dx", "ARPS", grid), nullptr);
+  EXPECT_TRUE(catalog.registry().find_element("dx", "ARPS", grid).has_value());
 }
 
 TEST(Catalog, StatsAccumulateAcrossIngests) {

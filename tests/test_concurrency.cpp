@@ -162,10 +162,11 @@ TEST(CatalogConcurrency, MixedIngestQueryAddDeleteStress) {
 }
 
 // Snapshot isolation: a reader that pins an epoch and then keeps reading
-// while writers delete, re-ingest, and rotate snapshots must see EXACTLY
-// its pinned epoch's results on every re-read — byte-identical responses,
-// tombstones of its epoch only — and those results must agree with the DOM
-// oracle evaluated over the documents that existed at the pin. TSan runs
+// while writers delete, re-ingest, define, and rotate snapshots must see
+// EXACTLY its pinned epoch's results on every re-read — byte-identical
+// responses, tombstones and definitions of its epoch only — and those
+// results must agree with the DOM oracle evaluated over the documents that
+// existed at the pin. TSan runs
 // this with real concurrent commits; the equality assertions catch any
 // torn read a data race would produce.
 TEST(CatalogConcurrency, PinnedSnapshotIsImmuneToConcurrentCommits) {
@@ -186,6 +187,10 @@ TEST(CatalogConcurrency, PinnedSnapshotIsImmuneToConcurrentCommits) {
   workload::QueryGenerator query_gen;
   std::vector<ObjectQuery> queries;
   for (std::uint64_t q = 0; q < 8; ++q) queries.push_back(query_gen.generate(seed + q));
+  // A name the definer thread below registers only after the pin.
+  auto churn_def = [](int i) { return "churn-def-" + std::to_string(i); };
+  ObjectQuery late_query;
+  late_query.add_attribute(AttrQuery(churn_def(0), "churn"));
 
   for (int i = 0; i < kSeedDocs; ++i) {
     catalog.ingest(docs[static_cast<std::size_t>(i)], "seed", "u");
@@ -195,6 +200,12 @@ TEST(CatalogConcurrency, PinnedSnapshotIsImmuneToConcurrentCommits) {
     // Pin BEFORE any churn starts.
     const MetadataCatalog::ReadGuard guard(catalog);
     const std::uint64_t pinned_epoch = guard.epoch();
+    const std::size_t pinned_definitions = catalog.registry().attribute_count(&guard->view);
+    auto resolves_late_name = [&](const MetadataCatalog::ReadGuard& g) {
+      return catalog.registry()
+          .find_attribute(churn_def(0), "churn", kNoAttr, {}, &g->view)
+          .has_value();
+    };
 
     std::vector<std::vector<ObjectId>> pinned_hits;
     std::vector<std::string> pinned_responses;
@@ -217,10 +228,18 @@ TEST(CatalogConcurrency, PinnedSnapshotIsImmuneToConcurrentCommits) {
       }
     }
 
-    // Churn: concurrent deletes, re-ingest, and snapshot rotation.
+    // Churn: concurrent deletes, re-ingest, definitions, and snapshot
+    // rotation.
     std::vector<std::thread> threads;
+    threads.reserve(churners + 2);
     threads.emplace_back([&] {
       for (int i = 0; i < kChurnRounds; ++i) catalog.delete_object(i % kSeedDocs);
+    });
+    threads.emplace_back([&] {
+      for (int i = 0; i < kChurnRounds; ++i) {
+        catalog.define_dynamic_attribute(churn_def(i), "churn",
+                                         {{"value", xml::LeafType::kInt, ""}});
+      }
     });
     threads.emplace_back([&] {
       for (int i = 0; i < kChurnDocs; ++i) {
@@ -255,7 +274,11 @@ TEST(CatalogConcurrency, PinnedSnapshotIsImmuneToConcurrentCommits) {
             << "round " << round;
       }
       EXPECT_EQ(guard.epoch(), pinned_epoch);
-      EXPECT_TRUE(guard->deleted->empty());  // deletes are after the pin
+      EXPECT_EQ(guard.deleted_count(), 0u);  // deletes are after the pin
+      // Definitions are after the pin too: the name stays unresolved.
+      EXPECT_EQ(catalog.registry().attribute_count(&guard->view), pinned_definitions);
+      EXPECT_FALSE(resolves_late_name(guard));
+      EXPECT_TRUE(guard.query(late_query).empty());
     }
 
     for (std::thread& t : threads) t.join();
@@ -265,8 +288,17 @@ TEST(CatalogConcurrency, PinnedSnapshotIsImmuneToConcurrentCommits) {
       EXPECT_EQ(guard.query(queries[qi]), pinned_hits[qi]);
       EXPECT_EQ(guard.build_response(pinned_hits[qi]), pinned_responses[qi]);
     }
+    EXPECT_EQ(catalog.registry().attribute_count(&guard->view), pinned_definitions);
+    EXPECT_FALSE(resolves_late_name(guard));
     // The catalog has moved on — the pin is what holds this epoch's view.
     EXPECT_GT(catalog.version(), pinned_epoch);
+
+    // A guard taken after the join resolves the name and counts the
+    // definer's definitions (the churn ingests may auto-define more).
+    const MetadataCatalog::ReadGuard fresh(catalog);
+    EXPECT_TRUE(resolves_late_name(fresh));
+    EXPECT_GE(catalog.registry().attribute_count(&fresh->view),
+              pinned_definitions + kChurnRounds);
   }
 
   // Guard dropped: fresh reads see the churned state, and reclamation can

@@ -801,9 +801,9 @@ TEST(Router, DefineBroadcastAssignsIdenticalIdsEverywhere) {
       std::string(xml::parse(response).root->child_text("attributeID"));
 
   for (const auto& shard : cluster.shards) {
-    const core::AttributeDef* def =
+    const auto def =
         shard->catalog.registry().find_attribute("radiation", "WRF", core::kNoAttr);
-    ASSERT_NE(def, nullptr);
+    ASSERT_TRUE(def.has_value());
     EXPECT_EQ(std::to_string(def->id), id_text);
   }
 }

@@ -93,9 +93,12 @@ TEST_F(OrderingTest, IndexesProbeCorrectly) {
   // The theme attribute root has 4 ancestors.
   const xml::SchemaNode* theme = schema_.find("data/idinfo/keywords/theme");
   const OrderId theme_order = partition_.order_of(*theme);
-  EXPECT_EQ(index->lookup(rel::Key{{rel::Value(theme_order)}}).size(), 4u);
+  rel::Key key;
+  key.parts.emplace_back(theme_order);
+  EXPECT_EQ(index->lookup(key).size(), 4u);
   // The root (order 0) has none.
-  EXPECT_TRUE(index->lookup(rel::Key{{rel::Value(std::int64_t{0})}}).empty());
+  key.parts[0] = rel::Value(std::int64_t{0});
+  EXPECT_TRUE(index->lookup(key).empty());
 }
 
 TEST_F(OrderingTest, OrderingIsBuiltOncePerSchemaNotPerDocument) {

@@ -120,8 +120,12 @@ TEST(Ops, GroupByCountDistinct) {
   const ResultSet grouped = group_by(
       input, {0}, {Aggregate{Aggregate::Fn::kCountDistinct, 1, "distinct_v"}});
   for (const Row& row : grouped.rows) {
-    if (row[0].as_int() == 1) EXPECT_EQ(row[1].as_int(), 2);
-    if (row[0].as_int() == 2) EXPECT_EQ(row[1].as_int(), 1);
+    if (row[0].as_int() == 1) {
+      EXPECT_EQ(row[1].as_int(), 2);
+    }
+    if (row[0].as_int() == 2) {
+      EXPECT_EQ(row[1].as_int(), 1);
+    }
   }
 }
 

@@ -222,7 +222,7 @@ std::string stream_with_version(char version) {
   std::stringstream saved;
   original.save(saved);
   std::string bytes = saved.str();
-  EXPECT_EQ(bytes.rfind("HXRCCAT 3\n", 0), 0u);
+  EXPECT_EQ(bytes.rfind("HXRCCAT 4\n", 0), 0u);
   bytes[8] = version;
   return bytes;
 }
@@ -244,6 +244,49 @@ TEST(CatalogPersistence, RestoreRejectsTextFormatHeader) {
 TEST(CatalogPersistence, RestoreRejectsVersionTwoHeader) {
   // Version 2 carried the retired collection tables.
   expect_rejected(stream_with_version('2'));
+}
+
+TEST(CatalogPersistence, RestoreRejectsVersionThreeHeader) {
+  // Version 3 carried definitions and tombstones as text sections.
+  expect_rejected(stream_with_version('3'));
+}
+
+TEST(CatalogPersistence, RoundTripsUserDefinitionsAndTombstones) {
+  xml::Schema schema = workload::lead_schema();
+  core::MetadataCatalog original(schema, workload::lead_annotations(),
+                                 auto_define_config());
+  original.define_dynamic_attribute("qc", "mine", {{"score", xml::LeafType::kDouble, ""}},
+                                    core::Visibility::kUser, "alice");
+  original.define_dynamic_attribute("qc", "mine", {}, core::Visibility::kUser, "bob");
+  const auto id = original.ingest_xml(workload::fig3_document(), "fig3", "alice");
+  original.ingest_xml(workload::fig3_document(), "again", "alice");
+  original.delete_object(id);
+  original.delete_object(id);  // a second delete adds no tombstone
+  EXPECT_EQ(original.deleted_count(), 1u);
+
+  std::stringstream stream;
+  original.save(stream);
+  xml::Schema schema2 = workload::lead_schema();
+  core::MetadataCatalog restored(schema2, workload::lead_annotations(),
+                                 auto_define_config());
+  restored.restore(stream);
+
+  EXPECT_EQ(restored.deleted_count(), 1u);
+  EXPECT_TRUE(restored.is_deleted(id));
+  EXPECT_FALSE(restored.is_deleted(id + 1));
+  EXPECT_EQ(restored.registry().attribute_count(), original.registry().attribute_count());
+  EXPECT_EQ(restored.registry().element_count(), original.registry().element_count());
+  const core::DefinitionRegistry& registry = restored.registry();
+  EXPECT_FALSE(registry.find_attribute("qc", "mine", core::kNoAttr).has_value());
+  const auto alice = registry.find_attribute("qc", "mine", core::kNoAttr, "alice");
+  const auto bob = registry.find_attribute("qc", "mine", core::kNoAttr, "bob");
+  ASSERT_TRUE(alice.has_value());
+  ASSERT_TRUE(bob.has_value());
+  EXPECT_NE(alice->id, bob->id);
+  EXPECT_EQ(alice->visibility, core::Visibility::kUser);
+  EXPECT_EQ(bob->owner, "bob");
+  EXPECT_TRUE(registry.find_element("score", "mine", alice->id).has_value());
+  EXPECT_FALSE(registry.find_element("score", "mine", bob->id).has_value());
 }
 
 }  // namespace

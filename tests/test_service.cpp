@@ -125,15 +125,15 @@ TEST_F(ServiceTest, DefineRequest) {
       "<element name=\"ra_sw_physics\" type=\"int\"/>"
       "</catalogRequest>");
   EXPECT_EQ(*defined.root->attribute("status"), "ok");
-  const AttributeDef* def = catalog_.registry().find_attribute("radiation", "WRF", kNoAttr);
-  ASSERT_NE(def, nullptr);
-  EXPECT_NE(catalog_.registry().find_element("ra_lw_physics", "WRF", def->id), nullptr);
+  const auto def = catalog_.registry().find_attribute("radiation", "WRF", kNoAttr);
+  ASSERT_TRUE(def.has_value());
+  EXPECT_TRUE(catalog_.registry().find_element("ra_lw_physics", "WRF", def->id).has_value());
 }
 
 TEST_F(ServiceTest, PrivateDefineIsUserScoped) {
   send("<catalogRequest type=\"define\" user=\"alice\" name=\"qc\" source=\"mine\"/>");
-  EXPECT_EQ(catalog_.registry().find_attribute("qc", "mine", kNoAttr), nullptr);
-  EXPECT_NE(catalog_.registry().find_attribute("qc", "mine", kNoAttr, "alice"), nullptr);
+  EXPECT_FALSE(catalog_.registry().find_attribute("qc", "mine", kNoAttr).has_value());
+  EXPECT_TRUE(catalog_.registry().find_attribute("qc", "mine", kNoAttr, "alice").has_value());
 }
 
 TEST_F(ServiceTest, StatsRequest) {

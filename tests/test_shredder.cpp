@@ -61,31 +61,27 @@ TEST_F(ShredderFig3, ThemesGetSameSiblingClobSequence) {
 
 TEST_F(ShredderFig3, ShredsDynamicAttributesByNameAndSource) {
   // grid (ARPS) with sub-attribute grid-stretching: definitions must exist.
-  const core::AttributeDef* grid =
-      catalog_.registry().find_attribute("grid", "ARPS", core::kNoAttr);
-  ASSERT_NE(grid, nullptr);
+  const auto grid = catalog_.registry().find_attribute("grid", "ARPS", core::kNoAttr);
+  ASSERT_TRUE(grid.has_value());
   EXPECT_EQ(grid->kind, core::AttrKind::kDynamic);
 
-  const core::AttributeDef* stretching =
-      catalog_.registry().find_attribute("grid-stretching", "ARPS", grid->id);
-  ASSERT_NE(stretching, nullptr);
+  const auto stretching = catalog_.registry().find_attribute("grid-stretching", "ARPS", grid->id);
+  ASSERT_TRUE(stretching.has_value());
   EXPECT_EQ(stretching->parent, grid->id);
 
   // Elements dx, dz under grid; dzmin, reference-height under stretching.
-  EXPECT_NE(catalog_.registry().find_element("dx", "ARPS", grid->id), nullptr);
-  EXPECT_NE(catalog_.registry().find_element("dz", "ARPS", grid->id), nullptr);
-  EXPECT_NE(catalog_.registry().find_element("dzmin", "ARPS", stretching->id), nullptr);
-  EXPECT_NE(catalog_.registry().find_element("reference-height", "ARPS", stretching->id),
-            nullptr);
+  EXPECT_TRUE(catalog_.registry().find_element("dx", "ARPS", grid->id).has_value());
+  EXPECT_TRUE(catalog_.registry().find_element("dz", "ARPS", grid->id).has_value());
+  EXPECT_TRUE(catalog_.registry().find_element("dzmin", "ARPS", stretching->id).has_value());
+  EXPECT_TRUE(
+      catalog_.registry().find_element("reference-height", "ARPS", stretching->id).has_value());
 }
 
 TEST_F(ShredderFig3, BuildsInstanceInvertedList) {
   const rel::Table& inverted = catalog_.database().require_table(core::kAttrInvertedTable);
   // grid-stretching instance -> grid instance at distance 1.
-  const core::AttributeDef* grid =
-      catalog_.registry().find_attribute("grid", "ARPS", core::kNoAttr);
-  const core::AttributeDef* stretching =
-      catalog_.registry().find_attribute("grid-stretching", "ARPS", grid->id);
+  const auto grid = catalog_.registry().find_attribute("grid", "ARPS", core::kNoAttr);
+  const auto stretching = catalog_.registry().find_attribute("grid-stretching", "ARPS", grid->id);
   bool found = false;
   for (const rel::Row& row : inverted.rows()) {
     if (row[1].as_int() == stretching->id && row[3].as_int() == grid->id) {
@@ -128,7 +124,7 @@ TEST(Shredder, UnknownDynamicStaysClobOnlyWithoutAutoDefine) {
 
   // The detailed CLOB is stored, but nothing was shredded for it.
   EXPECT_EQ(catalog.total_stats().unshredded_dynamic, 1u);
-  EXPECT_EQ(catalog.registry().find_attribute("grid", "ARPS", core::kNoAttr), nullptr);
+  EXPECT_FALSE(catalog.registry().find_attribute("grid", "ARPS", core::kNoAttr).has_value());
   const rel::Table& clobs = catalog.database().require_table(core::kAttrClobsTable);
   EXPECT_EQ(clobs.row_count(), 4u);  // CLOBs still complete
 }
@@ -165,11 +161,11 @@ TEST(Shredder, UserLevelDefinitionsArePrivate) {
   catalog.ingest_xml(workload::fig3_document(), "fig3", "alice");
 
   // alice sees her private definition; bob does not.
-  EXPECT_NE(catalog.registry().find_attribute("grid", "ARPS", core::kNoAttr, "alice"),
-            nullptr);
-  EXPECT_EQ(catalog.registry().find_attribute("grid", "ARPS", core::kNoAttr, "bob"),
-            nullptr);
-  EXPECT_EQ(catalog.registry().find_attribute("grid", "ARPS", core::kNoAttr), nullptr);
+  EXPECT_TRUE(
+      catalog.registry().find_attribute("grid", "ARPS", core::kNoAttr, "alice").has_value());
+  EXPECT_FALSE(
+      catalog.registry().find_attribute("grid", "ARPS", core::kNoAttr, "bob").has_value());
+  EXPECT_FALSE(catalog.registry().find_attribute("grid", "ARPS", core::kNoAttr).has_value());
 }
 
 TEST(Shredder, MultipleDocumentsGetDistinctObjects) {

@@ -33,10 +33,10 @@ class SqlPipeline : public ::testing::Test {
   /// Resolves a dynamic element definition id.
   std::int64_t elem_def(const std::string& attr, const std::string& model,
                         const std::string& elem) {
-    const AttributeDef* def = catalog_.registry().find_attribute(attr, model, kNoAttr);
-    if (def == nullptr) return -1;
-    const ElementDef* e = catalog_.registry().find_element(elem, model, def->id);
-    return e == nullptr ? -1 : e->id;
+    const auto def = catalog_.registry().find_attribute(attr, model, kNoAttr);
+    if (!def) return -1;
+    const auto e = catalog_.registry().find_element(elem, model, def->id);
+    return e ? e->id : -1;
   }
 
   xml::Schema schema_;
@@ -161,10 +161,10 @@ TEST_F(SqlPipeline, SelectivityStatisticsViaSql) {
 
 TEST_F(SqlPipeline, LikeSearchOverKeywords) {
   // Keyword substring search via LIKE on the shredded theme keywords.
-  const AttributeDef* theme = catalog_.registry().find_attribute("theme", "", kNoAttr);
-  ASSERT_NE(theme, nullptr);
-  const ElementDef* themekey = catalog_.registry().find_element("themekey", "", theme->id);
-  ASSERT_NE(themekey, nullptr);
+  const auto theme = catalog_.registry().find_attribute("theme", "", kNoAttr);
+  ASSERT_TRUE(theme.has_value());
+  const auto themekey = catalog_.registry().find_element("themekey", "", theme->id);
+  ASSERT_TRUE(themekey.has_value());
   const rel::ResultSet hits = catalog_.database().execute(
       "SELECT DISTINCT object_id FROM elem_data WHERE elem_id = " +
       std::to_string(themekey->id) + " AND value_str LIKE '%precipitation%'");

@@ -170,7 +170,9 @@ TEST(XmlRoundTrip, MutatedSurvivorsAgreeAcrossModes) {
     } catch (const xml::ParseError&) {
     }
     EXPECT_EQ(owned_ok, arena_ok) << mutated;
-    if (owned_ok && arena_ok) EXPECT_EQ(owned_canon, arena_canon) << mutated;
+    if (owned_ok && arena_ok) {
+      EXPECT_EQ(owned_canon, arena_canon) << mutated;
+    }
   }
 }
 
